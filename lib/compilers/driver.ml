@@ -222,22 +222,35 @@ let decide_absorbed ctx block_idx p =
       absorbed;
   absorbed
 
+(* The contraction decision, emitting its events or, with
+   [on_contraction], handing the outcome to the caller instead. *)
+let contract ~on_contraction decide cands =
+  Obs.span "contraction" (fun () ->
+      match on_contraction with
+      | None -> decide ~observe:true cands
+      | Some f ->
+          let r = decide ~observe:false cands in
+          f ~candidates:cands r;
+          r)
+
+let decide_scalar p ~observe cands =
+  scalar_shapes (Core.Contraction.decide ~observe p ~candidates:cands)
+
 (* Everything downstream of the fusion decision: reduction absorption,
    the reduce-read candidate filter, and the contraction decision —
    shared by the level ladder and by [compile_custom]'s partitioner. *)
-let finish_plan ~absorb ctx block_idx p cands : Sir.Scalarize.block_plan =
+let finish_plan ~absorb ~on_contraction ctx block_idx p cands :
+    Sir.Scalarize.block_plan =
   let absorbed = if absorb then decide_absorbed ctx block_idx p else [] in
   let cands = filter_reduce_read_candidates ctx p absorbed cands in
   {
     Sir.Scalarize.partition = p;
-    contracted =
-      Obs.span "contraction" (fun () ->
-          scalar_shapes (Core.Contraction.decide p ~candidates:cands));
+    contracted = contract ~on_contraction (decide_scalar p) cands;
     absorbed;
   }
 
-let plan_block ?(reduction_fusion = true) ~level ~may_fuse ctx block_idx stmts
-    : Sir.Scalarize.block_plan =
+let plan_block ?(reduction_fusion = true) ~on_contraction ~level ~may_fuse ctx
+    block_idx stmts : Sir.Scalarize.block_plan =
   (* Reduction fusion belongs to the user-array strategies: f1/c1 only
      consider compiler temporaries, and reductions never involve them
      (paper: EP and Frac gain nothing from f1/c1). *)
@@ -256,7 +269,7 @@ let plan_block ?(reduction_fusion = true) ~level ~may_fuse ctx block_idx stmts
         Core.Fusion.for_locality ?relax_flow ~may_fuse p)
   in
   let finish ?(absorb = reduction_fusion) p cands =
-    finish_plan ~absorb ctx block_idx p cands
+    finish_plan ~absorb ~on_contraction ctx block_idx p cands
   in
   match level with
   | Baseline ->
@@ -293,8 +306,10 @@ let plan_block ?(reduction_fusion = true) ~level ~may_fuse ctx block_idx stmts
       {
         Sir.Scalarize.partition = p;
         contracted =
-          Obs.span "contraction" (fun () ->
-              Core.Contraction.decide_partial p ~candidates:cands);
+          contract ~on_contraction
+            (fun ~observe cands ->
+              Core.Contraction.decide_partial ~observe p ~candidates:cands)
+            cands;
         absorbed;
       }
 
@@ -329,12 +344,16 @@ type opts = {
   level : level;
   may_fuse : (block:int -> int list -> bool) option;
   reduction_fusion : bool;
+  on_contraction :
+    (candidates:string list -> (string * Core.Contraction.shape) list -> unit)
+    option;
 }
 
-let default_opts = { level = C2F3; may_fuse = None; reduction_fusion = true }
+let default_opts =
+  { level = C2F3; may_fuse = None; reduction_fusion = true; on_contraction = None }
 
 let opts ?may_fuse ?(reduction_fusion = true) level =
-  { level; may_fuse; reduction_fusion }
+  { default_opts with level; may_fuse; reduction_fusion }
 
 let compile_opts o prog =
   compile_with ~level:o.level prog ~plan_of_block:(fun ctx bi stmts ->
@@ -343,15 +362,17 @@ let compile_opts o prog =
         | None -> fun _ -> true
         | Some f -> fun ss -> f ~block:bi ss
       in
-      plan_block ~reduction_fusion:o.reduction_fusion ~level:o.level
-        ~may_fuse:mf ctx bi stmts)
+      plan_block ~reduction_fusion:o.reduction_fusion
+        ~on_contraction:o.on_contraction ~level:o.level ~may_fuse:mf ctx bi
+        stmts)
 
 let compile_custom_opts o ~partition prog =
   compile_with ~level:o.level prog ~plan_of_block:(fun ctx bi stmts ->
       let g = Obs.span "dependence" (fun () -> Core.Asdg.build stmts) in
       let compiler_cands, user_cands = block_candidates ctx bi in
       let p = partition ~block:bi ~compiler:compiler_cands ~user:user_cands g in
-      finish_plan ~absorb:o.reduction_fusion ctx bi p
+      finish_plan ~absorb:o.reduction_fusion ~on_contraction:o.on_contraction
+        ctx bi p
         (compiler_cands @ user_cands))
 
 let compile_exn_opts o prog =

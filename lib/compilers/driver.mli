@@ -48,6 +48,14 @@ type opts = {
   reduction_fusion : bool;
       (** default [true]; disabling is the ablation under which arrays
           consumed by reductions can never contract *)
+  on_contraction :
+    (candidates:string list -> (string * Core.Contraction.shape) list -> unit)
+    option;
+      (** default [None]: each block's contraction decision emits its
+          [Obs] events.  [Some f] decides silently and hands [f] the
+          block's candidates and result instead, so a caller compiling
+          several alternatives can report only the one it keeps (see
+          [Core.Contraction.observe]). *)
 }
 (** The single options record of the driver's canonical entry points.
     Every knob the pipeline will ever grow lands here, so the
@@ -57,7 +65,8 @@ type opts = {
     with future fields. *)
 
 val default_opts : opts
-(** [{ level = C2F3; may_fuse = None; reduction_fusion = true }]. *)
+(** [{ level = C2F3; may_fuse = None; reduction_fusion = true;
+    on_contraction = None }]. *)
 
 val opts :
   ?may_fuse:(block:int -> int list -> bool) ->

@@ -2,6 +2,13 @@ type t = {
   stmts : Ir.Nstmt.t array;
   edge_tbl : (int * int, Dep.label list) Hashtbl.t;
   edge_list : (int * int) list;  (* sorted, nonempty labels only *)
+  (* Per-array index, built once: arrays are interned to dense ids in
+     first-occurrence order.  Read-only after [build], so planner
+     workers on several domains may query one [t] concurrently. *)
+  ids : (string, int) Hashtbl.t;
+  vars : string list;  (* id order *)
+  refs : int list array;  (* id -> referencing statements, ascending *)
+  deps : ((int * int) * Dep.label) list array;  (* id -> deps_on *)
 }
 
 let build stmt_list =
@@ -19,7 +26,39 @@ let build stmt_list =
     done
   done;
   if Obs.enabled () then Obs.count "dep.edges" (List.length !edge_list);
-  { stmts; edge_tbl; edge_list = List.sort compare !edge_list }
+  let edge_list = List.sort compare !edge_list in
+  let ids = Hashtbl.create 16 in
+  let vars = ref [] and rev_refs = ref [] in
+  Array.iteri
+    (fun i s ->
+      List.iter
+        (fun x ->
+          let k =
+            match Hashtbl.find_opt ids x with
+            | Some k -> k
+            | None ->
+                let k = Hashtbl.length ids in
+                Hashtbl.add ids x k;
+                vars := x :: !vars;
+                k
+          in
+          rev_refs := (k, i) :: !rev_refs)
+        (Ir.Nstmt.arrays s))
+    stmts;
+  let nv = Hashtbl.length ids in
+  (* consing from the reversed lists leaves each bucket ascending *)
+  let refs = Array.make nv [] in
+  List.iter (fun (k, i) -> refs.(k) <- i :: refs.(k)) !rev_refs;
+  let deps = Array.make nv [] in
+  List.iter
+    (fun e ->
+      List.iter
+        (fun (l : Dep.label) ->
+          let k = Hashtbl.find ids l.var in
+          deps.(k) <- (e, l) :: deps.(k))
+        (List.rev (Hashtbl.find edge_tbl e)))
+    (List.rev edge_list);
+  { stmts; edge_tbl; edge_list; ids; vars = List.rev !vars; refs; deps }
 
 let n t = Array.length t.stmts
 let stmt t i = t.stmts.(i)
@@ -29,35 +68,13 @@ let edges t = t.edge_list
 let labels t i j =
   match Hashtbl.find_opt t.edge_tbl (i, j) with Some l -> l | None -> []
 
-let vars t =
-  let seen = Hashtbl.create 16 in
-  let out = ref [] in
-  Array.iter
-    (fun s ->
-      List.iter
-        (fun x ->
-          if not (Hashtbl.mem seen x) then begin
-            Hashtbl.add seen x ();
-            out := x :: !out
-          end)
-        (Ir.Nstmt.arrays s))
-    t.stmts;
-  List.rev !out
+let vars t = t.vars
 
-let deps_on t x =
-  List.concat_map
-    (fun e ->
-      List.filter_map
-        (fun (l : Dep.label) -> if l.var = x then Some (e, l) else None)
-        (labels t (fst e) (snd e)))
-    t.edge_list
+let lookup t tbl x =
+  match Hashtbl.find_opt t.ids x with Some k -> tbl.(k) | None -> []
 
-let stmts_referencing t x =
-  let out = ref [] in
-  Array.iteri
-    (fun i s -> if List.mem x (Ir.Nstmt.arrays s) then out := i :: !out)
-    t.stmts;
-  List.rev !out
+let deps_on t x = lookup t t.deps x
+let stmts_referencing t x = lookup t t.refs x
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";

@@ -10,7 +10,10 @@
 type t
 
 val build : Ir.Nstmt.t list -> t
-(** Computes all pairwise dependences.  O(s²·refs). *)
+(** Computes all pairwise dependences.  O(s²·refs).  Also indexes the
+    block once per array, so {!vars}, {!deps_on} and
+    {!stmts_referencing} are lookups.  The result is immutable and
+    safe to query from several domains at once. *)
 
 val n : t -> int
 (** Number of statements (vertices). *)
@@ -30,9 +33,10 @@ val vars : t -> string list
     occurrence order. *)
 
 val deps_on : t -> string -> ((int * int) * Dep.label) list
-(** Every dependence induced by the given variable. *)
+(** Every dependence induced by the given variable, ordered by edge
+    then label. *)
 
 val stmts_referencing : t -> string -> int list
-(** Indices of statements that reference the array. *)
+(** Indices of statements that reference the array, ascending. *)
 
 val pp : Format.formatter -> t -> unit

@@ -29,8 +29,12 @@ let observe_performed x shape =
   if Obs.enabled () then
     Obs.event (Obs.Contraction_perform { array = x; shape = shape_name shape })
 
-let decide p ~candidates =
+let observe ~candidates contracted =
   observe_candidates candidates;
+  List.iter (fun (x, shape) -> observe_performed x shape) contracted
+
+let decide ?(observe = true) p ~candidates =
+  if observe then observe_candidates candidates;
   List.filter
     (fun x ->
       let ok =
@@ -40,7 +44,7 @@ let decide p ~candidates =
         | Some rep -> Partition.contractible p x ~within:[ rep ]
         | None -> false
       in
-      if ok then observe_performed x Scalar;
+      if ok && observe then observe_performed x Scalar;
       ok)
     candidates
 
@@ -51,8 +55,9 @@ let ref_offsets p x =
          let s = Asdg.stmt g i in
          Ir.Nstmt.reads_of s x @ Ir.Nstmt.writes_of s x)
 
-let decide_partial p ~candidates =
-  observe_candidates candidates;
+let decide_partial ?(observe = true) p ~candidates =
+  let observe_performed x shape = if observe then observe_performed x shape in
+  if observe then observe_candidates candidates;
   List.filter_map
     (fun x ->
       if not (Partition.first_ref_is_write p x) then None

@@ -21,17 +21,26 @@ type shape =
           retained in storage (at least one reference carries a nonzero
           offset there) *)
 
-val decide : Partition.t -> candidates:string list -> string list
+val decide :
+  ?observe:bool -> Partition.t -> candidates:string list -> string list
 (** Arrays fully contractible to scalars under the given partition, in
-    candidate order. *)
+    candidate order.  Emits one [Contraction_candidate] event per
+    candidate and one [Contraction_perform] per result; planners
+    pricing hypothetical partitions pass [~observe:false] (default
+    [true]) so the counters describe the plan actually compiled. *)
+
+val observe : candidates:string list -> (string * shape) list -> unit
+(** Emit exactly the events a decision over [candidates] with the
+    given result would have emitted — for a planner that decided
+    silently and keeps one of several compiled plans. *)
 
 val decide_partial :
-  Partition.t -> candidates:string list -> (string * shape) list
-(** Full and partial contractions.  Arrays reported with [Keep_dims]
-    would not be contracted by the paper's algorithm; retaining the
-    marked dimensions only is sound because all dependences due to the
-    array have zero distance in every dropped dimension (see
-    DESIGN.md §5.7). *)
+  ?observe:bool -> Partition.t -> candidates:string list -> (string * shape) list
+(** Full and partial contractions ([observe] as in {!decide}).  Arrays
+    reported with [Keep_dims] would not be contracted by the paper's
+    algorithm; retaining the marked dimensions only is sound because
+    all dependences due to the array have zero distance in every
+    dropped dimension (see DESIGN.md §5.7). *)
 
 val shape_volume : Ir.Region.t -> shape -> int
 (** Number of elements the contracted allocation still needs (1 for

@@ -14,9 +14,18 @@
     paper's rule that a merge lands in the [P_k] of smallest [k]. *)
 
 type t
+(** Immutable: cluster membership and the cluster-level digraph are
+    computed when the partition is built ({!trivial}, {!merge}), so the
+    queries below are lookups, safe from several domains at once. *)
 
 val trivial : Asdg.t -> t
 (** One statement per cluster. *)
+
+val of_reps : Asdg.t -> int array -> t
+(** The partition whose statement [i] lies in cluster [reps.(i)] — the
+    inverse of {!cluster_of} over all statements.  Raises
+    [Invalid_argument] unless every [reps.(i)] is the minimum of its
+    cluster ([reps.(i) <= i] and [reps.(reps.(i)) = reps.(i)]). *)
 
 val asdg : t -> Asdg.t
 val cluster_of : t -> int -> int
@@ -26,7 +35,8 @@ val clusters : t -> int list list
 (** All clusters, each sorted, ordered by representative. *)
 
 val members : t -> int -> int list
-(** Statements of the cluster whose representative is given. *)
+(** Statements of the cluster whose representative is given ([[]] for
+    any other statement). *)
 
 val n_clusters : t -> int
 
@@ -46,7 +56,8 @@ val grow : t -> int list -> int list
 (** [grow p c] (the paper's GROW): representatives of clusters outside
     [c] lying on a dependence path from [c] to [c] — exactly the
     clusters that would end up on an inter-cluster cycle if [c] were
-    fused.  O(e). *)
+    fused.  O(e).  [grow p] builds the cluster graph's adjacency once:
+    bind it to grow many cluster sets of one partition. *)
 
 type veto =
   | Region_mismatch  (** condition (i): statements iterate different regions *)
@@ -80,6 +91,11 @@ val contractible : t -> string -> within:int list -> bool
 
 val merge : t -> int list -> t
 (** Fuse the given clusters (no validity check; see {!can_merge}). *)
+
+val merged_rep : t -> int list -> int -> int
+(** [merged_rep p c r] is the representative that [p]'s representative
+    [r] has in [merge p c], computed without building the merged
+    partition. *)
 
 val is_valid : ?relax_flow:bool -> t -> bool
 (** Full Definition 5 check on the current partition — used by tests

@@ -40,14 +40,31 @@ type block_info = {
   mult : int;
   base_refs : int;  (** element references per execution, before contraction *)
   flops : int;  (** floating-point operations per execution *)
+  weight : (string, int) Hashtbl.t;  (** array -> reference weight *)
+  lines : (string, int) Hashtbl.t;
+      (** array -> lines one sweep of its first referencing statement's
+          region touches *)
+  stream : (int * int * bool) array array;
+      (** statement -> its references in probe order (lhs, then rhs
+          left to right) as (array id, simulated base address, write) *)
+  stmt_lines : int array;  (** statement -> lines one sweep of its region touches *)
 }
+
+(* Probe memo key: [| block; members...; -1; ids of the contracted
+   arrays the members reference, ascending |]. *)
+module Key = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) b = a = b
+  let hash a = Array.fold_left (fun h x -> (h * 31) + x) 17 a land max_int
+end)
 
 type t = {
   cfg : cfg;
   blocks : block_info array;
   red_execs : int;
-  base : (string, int) Hashtbl.t;  (** array -> simulated base address *)
-  memo : (string, float * float) Hashtbl.t;
+  ids : (string, int) Hashtbl.t;  (** array -> dense id *)
+  memo : (float * float) Key.t;
       (** cluster probe signature -> (L1, L2) misses per execution *)
   memo_lock : Mutex.t;
       (** [memo] is the only mutable field touched after [create];
@@ -68,46 +85,83 @@ let rec expr_flops (e : Expr.t) =
   | Expr.Binop (_, a, b) -> 1 + expr_flops a + expr_flops b
   | Expr.Select (c, a, b) -> 1 + expr_flops c + expr_flops a + expr_flops b
 
+let lines_of_machine (m : Machine.t) vol =
+  let line = m.Machine.l1.Cachesim.Cache.line_bytes in
+  max 1 (((8 * vol) + line - 1) / line)
+
+(* A statement's references in probe order, with write flags. *)
+let stmt_refs (s : Nstmt.t) =
+  (s.lhs, true) :: List.map (fun (x, _) -> (x, false)) (Expr.refs s.rhs)
+
 let create cfg prog =
   let blocks = Prog.blocks prog in
   let mults, red_execs = Comm.Model.block_multipliers prog in
-  let info =
-    List.mapi
-      (fun bi stmts ->
-        let base_refs =
-          List.fold_left
-            (fun acc (s : Nstmt.t) ->
-              acc
-              + (1 + List.length (Expr.refs s.rhs)) * Region.volume s.region)
-            0 stmts
-        in
-        let flops =
-          List.fold_left
-            (fun acc (s : Nstmt.t) ->
-              acc + (expr_flops s.rhs * Region.volume s.region))
-            0 stmts
-        in
-        { stmts; mult = mults.(bi); base_refs; flops })
-      blocks
-  in
   (* Deterministic simulated layout: arrays in declaration order, each
      base aligned well past both line sizes, with a guard line between
-     allocations so distinct arrays never share a cache line. *)
+     allocations so distinct arrays never share a cache line.  Arrays
+     are interned in the same order; an undeclared array gets the next
+     id and base address 0. *)
+  let ids = Hashtbl.create 16 in
   let base = Hashtbl.create 16 in
+  let intern x =
+    match Hashtbl.find_opt ids x with
+    | Some k -> k
+    | None ->
+        let k = Hashtbl.length ids in
+        Hashtbl.add ids x k;
+        k
+  in
   let align = 256 in
   let next = ref 0 in
   List.iter
     (fun (a : Prog.array_info) ->
+      ignore (intern a.Prog.name);
       Hashtbl.replace base a.Prog.name !next;
       let bytes = (8 * Region.volume a.Prog.bounds) + align in
       next := (!next + bytes + align - 1) / align * align)
     prog.Prog.arrays;
+  let base_of x = Option.value ~default:0 (Hashtbl.find_opt base x) in
+  let info =
+    List.mapi
+      (fun bi stmts ->
+        let stmts_a = Array.of_list stmts in
+        let vols = Array.map (fun (s : Nstmt.t) -> Region.volume s.region) stmts_a in
+        let stmt_lines = Array.map (lines_of_machine cfg.machine) vols in
+        let refs = Array.map stmt_refs stmts_a in
+        let weight = Hashtbl.create 16 and lines = Hashtbl.create 16 in
+        Array.iteri
+          (fun i refs ->
+            List.iter
+              (fun (x, _) ->
+                let w = Option.value ~default:0 (Hashtbl.find_opt weight x) in
+                Hashtbl.replace weight x (w + vols.(i));
+                if not (Hashtbl.mem lines x) then Hashtbl.add lines x stmt_lines.(i))
+              refs)
+          refs;
+        let sum f = Array.fold_left ( + ) 0 (Array.mapi f stmts_a) in
+        {
+          stmts;
+          mult = mults.(bi);
+          base_refs = sum (fun i _ -> List.length refs.(i) * vols.(i));
+          flops = sum (fun i (s : Nstmt.t) -> expr_flops s.rhs * vols.(i));
+          weight;
+          lines;
+          stream =
+            Array.map
+              (fun refs ->
+                Array.of_list
+                  (List.map (fun (x, write) -> (intern x, base_of x, write)) refs))
+              refs;
+          stmt_lines;
+        })
+      blocks
+  in
   {
     cfg;
     blocks = Array.of_list info;
     red_execs;
-    base;
-    memo = Hashtbl.create 256;
+    ids;
+    memo = Key.create 256;
     memo_lock = Mutex.create ();
   }
 
@@ -115,14 +169,12 @@ let cfg t = t.cfg
 let block_mult t ~block = t.blocks.(block).mult
 
 let block_weight t ~block x =
-  List.fold_left
-    (fun acc (s : Nstmt.t) ->
-      acc + (Nstmt.ref_count s x * Region.volume s.region))
-    0 t.blocks.(block).stmts
+  Option.value ~default:0 (Hashtbl.find_opt t.blocks.(block).weight x)
 
-let lines_of_volume t vol =
-  let line = t.cfg.machine.Machine.l1.Cachesim.Cache.line_bytes in
-  max 1 (((8 * vol) + line - 1) / line)
+let sweep_lines t ~block x =
+  match Hashtbl.find_opt t.blocks.(block).lines x with
+  | Some l -> l
+  | None -> lines_of_machine t.cfg.machine 0
 
 let scalar_contracted (bp : Sir.Scalarize.block_plan) =
   List.filter_map
@@ -137,36 +189,35 @@ let scalar_contracted (bp : Sir.Scalarize.block_plan) =
    and scale the measured misses to the sweep's real line count. *)
 let cluster_misses t ~block members ~contracted =
   let info = t.blocks.(block) in
-  let stmts_arr = Array.of_list info.stmts in
-  let stmts = List.map (fun i -> stmts_arr.(i)) members in
-  let refs =
-    List.concat_map
-      (fun (s : Nstmt.t) ->
-        (s.Nstmt.lhs, true)
-        :: List.map (fun (x, _) -> (x, false)) (Expr.refs s.Nstmt.rhs))
-      stmts
-    |> List.filter (fun (x, _) -> not (List.mem x contracted))
-  in
-  match (refs, stmts) with
+  let is_contracted = Array.make (Hashtbl.length t.ids) false in
+  List.iter
+    (fun x ->
+      Option.iter (fun k -> is_contracted.(k) <- true) (Hashtbl.find_opt t.ids x))
+    contracted;
+  (* the sweep's streams, and the contracted arrays it leaves out *)
+  let refs = ref [] and skipped = ref [] in
+  List.iter
+    (fun i ->
+      Array.iter
+        (fun (k, b, write) ->
+          if is_contracted.(k) then skipped := k :: !skipped
+          else refs := (b, write) :: !refs)
+        info.stream.(i))
+    members;
+  match (List.rev !refs, members) with
   | [], _ | _, [] -> (0.0, 0.0)
-  | _, (s0 : Nstmt.t) :: _ ->
-      let vol = Region.volume s0.Nstmt.region in
+  | refs, s0 :: _ ->
       let m = t.cfg.machine in
       let line = m.Machine.l1.Cachesim.Cache.line_bytes in
-      let lines = lines_of_volume t vol in
+      let lines = info.stmt_lines.(s0) in
       let key =
-        Printf.sprintf "%d|%s|%s" block
-          (String.concat "," (List.map string_of_int members))
-          (String.concat ","
-             (List.sort compare
-                (List.filter
-                   (fun x -> List.exists (fun (s : Nstmt.t) -> Nstmt.ref_count s x > 0) stmts)
-                   contracted)))
+        Array.of_list
+          ((block :: members) @ (-1 :: List.sort_uniq Int.compare !skipped))
       in
       (* the lock covers only the table; a missed lookup is recomputed
          outside it — two domains may race the same probe, but the
          result is deterministic, so the duplicate work is benign *)
-      (match Mutex.protect t.memo_lock (fun () -> Hashtbl.find_opt t.memo key) with
+      (match Mutex.protect t.memo_lock (fun () -> Key.find_opt t.memo key) with
       | Some r -> r
       | None ->
           let probe = min lines probe_cap in
@@ -175,8 +226,7 @@ let cluster_misses t ~block members ~contracted =
           in
           for i = 0 to probe - 1 do
             List.iter
-              (fun (x, write) ->
-                let b = try Hashtbl.find t.base x with Not_found -> 0 in
+              (fun (b, write) ->
                 Cachesim.Cache.Hierarchy.access hier
                   ~addr:(b + (i * line))
                   ~write)
@@ -194,7 +244,7 @@ let cluster_misses t ~block members ~contracted =
             | None -> 0.0
           in
           Mutex.protect t.memo_lock (fun () ->
-              Hashtbl.replace t.memo key (l1, l2));
+              Key.replace t.memo key (l1, l2));
           (l1, l2))
 
 let block_cost t ~block (bp : Sir.Scalarize.block_plan) =

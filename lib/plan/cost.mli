@@ -69,9 +69,10 @@ val block_weight : t -> block:int -> string -> int
     region volume over the block's statements (equals
     [Core.Weights.weight] on the block's ASDG). *)
 
-val lines_of_volume : t -> int -> int
-(** Cache lines one sweep of a region of the given element volume
-    touches on this machine's L1 geometry (≥ 1). *)
+val sweep_lines : t -> block:int -> string -> int
+(** Cache lines, on this machine's L1 geometry, that one sweep of the
+    region of the first block statement referencing the array touches
+    (≥ 1).  Precomputed, like {!block_weight}, at {!create}. *)
 
 val cluster_misses : t -> block:int -> int list -> contracted:string list -> float * float
 (** [(l1_misses, l2_misses)] of one fused cluster per block execution:

@@ -23,17 +23,36 @@ type provenance = {
   ilp_blocks : ilp_report list;
 }
 
+(* Compile one alternative with its contraction decisions held back;
+   the returned thunk reports them.  The driver compiles up to three
+   alternatives and reports only the one it keeps, so the contraction
+   counters describe the chosen plan exactly. *)
+let held compile =
+  let log = ref [] in
+  let on_contraction ~candidates contracted =
+    log := (candidates, contracted) :: !log
+  in
+  compile { Compilers.Driver.default_opts with on_contraction = Some on_contraction }
+  |> Result.map (fun c ->
+         ( c,
+           fun () ->
+             List.iter
+               (fun (candidates, contracted) ->
+                 Core.Contraction.observe ~candidates contracted)
+               (List.rev !log) ))
+
 (* greedy c2+f3 and the searched configuration, each compiled end to
    end, plus the per-block search reports and partitions (the latter
    seed the ILP). *)
 let greedy_and_search ~search ~cost prog =
-  match Compilers.Driver.(compile_opts default_opts) prog with
+  match held (fun o -> Compilers.Driver.compile_opts o prog) with
   | Error d -> Error d
   | Ok greedy -> (
       let reports = ref [] in
       let partitions = ref [] in
       let searched =
-        Compilers.Driver.(compile_custom_opts default_opts) prog
+        held @@ fun o ->
+        Compilers.Driver.compile_custom_opts o prog
           ~partition:(fun ~block ~compiler ~user g ->
             let p, stats =
               Search.block search cost ~block ~candidates:(compiler @ user) g
@@ -54,7 +73,7 @@ let greedy_and_search ~search ~cost prog =
 let compile ?(search = Search.default) ~cost prog =
   match greedy_and_search ~search ~cost prog with
   | Error d -> Error d
-  | Ok (greedy, searched, reports, _) ->
+  | Ok ((greedy, report_greedy), (searched, report_searched), reports, _) ->
       let g_ns = (Cost.compiled_cost cost greedy).Cost.total_ns in
       let s_ns = (Cost.compiled_cost cost searched).Cost.total_ns in
       (* the block search could not see reduction absorption; keep
@@ -62,7 +81,8 @@ let compile ?(search = Search.default) ~cost prog =
       let fallback = s_ns > g_ns +. search.Search.eps in
       if fallback then Obs.count "plan.fallback-greedy" 1;
       let chosen, strategy, chosen_ns =
-        if fallback then (greedy, "greedy", g_ns) else (searched, "search", s_ns)
+        if fallback then (report_greedy (); (greedy, "greedy", g_ns))
+        else (report_searched (); (searched, "search", s_ns))
       in
       let c = Cost.cfg cost in
       Ok
@@ -85,10 +105,12 @@ let compile ?(search = Search.default) ~cost prog =
 let compile_ilp ?(search = Search.default) ?(ilp = Ilp.default) ~cost prog =
   match greedy_and_search ~search ~cost prog with
   | Error d -> Error d
-  | Ok (greedy, searched, reports, partitions) -> (
+  | Ok ((greedy, report_greedy), (searched, report_searched), reports, partitions)
+    -> (
       let ilp_reports = ref [] in
       let solved =
-        Compilers.Driver.(compile_custom_opts default_opts) prog
+        held @@ fun o ->
+        Compilers.Driver.compile_custom_opts o prog
           ~partition:(fun ~block ~compiler ~user g ->
             let seeds =
               match List.assoc_opt block partitions with
@@ -103,7 +125,7 @@ let compile_ilp ?(search = Search.default) ?(ilp = Ilp.default) ~cost prog =
       in
       match solved with
       | Error d -> Error d
-      | Ok solved ->
+      | Ok (solved, report_solved) ->
           let g_ns = (Cost.compiled_cost cost greedy).Cost.total_ns in
           let s_ns = (Cost.compiled_cost cost searched).Cost.total_ns in
           let i_ns = (Cost.compiled_cost cost solved).Cost.total_ns in
@@ -112,10 +134,15 @@ let compile_ilp ?(search = Search.default) ?(ilp = Ilp.default) ~cost prog =
              included), preferring the stronger certificate on ties:
              the chosen plan is never worse than search or greedy *)
           let chosen, strategy, chosen_ns =
-            if i_ns <= s_ns +. eps && i_ns <= g_ns +. eps then
-              (solved, "ilp", i_ns)
-            else if s_ns <= g_ns +. eps then (searched, "search", s_ns)
-            else (greedy, "greedy", g_ns)
+            if i_ns <= s_ns +. eps && i_ns <= g_ns +. eps then (
+              report_solved ();
+              (solved, "ilp", i_ns))
+            else if s_ns <= g_ns +. eps then (
+              report_searched ();
+              (searched, "search", s_ns))
+            else (
+              report_greedy ();
+              (greedy, "greedy", g_ns))
           in
           let fallback = strategy <> "ilp" in
           if fallback then Obs.count "plan.ilp.fallback" 1;

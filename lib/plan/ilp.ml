@@ -405,9 +405,25 @@ let block ?(probe = fun (_ : Core.Partition.t) -> ()) ?(seeds = []) cfg cost_t
   Obs.span "plan-ilp" @@ fun () ->
   let n = Core.Asdg.n g in
   let t0 = Core.Partition.trivial g in
+  (* pricing clock, read only under a recorder; pool workers return
+     their share with each column and the calling domain adds it *)
+  let obs = Obs.enabled () in
+  let price_ns = ref 0.0 in
+  let timed f x =
+    if obs then begin
+      let t = Obs.now_ns () in
+      let r = f x in
+      (r, Obs.now_ns () -. t)
+    end
+    else (f x, 0.0)
+  in
+  let charge (r, ns) =
+    if obs then price_ns := !price_ns +. ns;
+    r
+  in
   let weight_of = cluster_weight cost_t t0 g ~block ~candidates in
   let full_cost p =
-    let contracted = Core.Contraction.decide p ~candidates in
+    let contracted = Core.Contraction.decide ~observe:false p ~candidates in
     let bp =
       {
         Sir.Scalarize.partition = p;
@@ -417,9 +433,10 @@ let block ?(probe = fun (_ : Core.Partition.t) -> ()) ?(seeds = []) cfg cost_t
     in
     (Cost.block_cost cost_t ~block bp).Cost.total_ns
   in
+  let full_cost p = charge (timed full_cost p) in
   let separable p =
     List.fold_left
-      (fun acc c -> acc +. weight_of c)
+      (fun acc c -> acc +. charge (timed weight_of c))
       0.0
       (Core.Partition.clusters p)
   in
@@ -428,7 +445,9 @@ let block ?(probe = fun (_ : Core.Partition.t) -> ()) ?(seeds = []) cfg cost_t
   let ncols = Array.length cols in
   let w_ns =
     Array.of_list
-      (Support.Pool.map ~domains:cfg.jobs weight_of (Array.to_list cols))
+      (List.map charge
+         (Support.Pool.map ~domains:cfg.jobs (timed weight_of)
+            (Array.to_list cols)))
   in
   (* scale the objective to O(1) so simplex tolerances are meaningful *)
   let scale = Array.fold_left (fun acc v -> Float.max acc v) 1.0 w_ns in
@@ -627,7 +646,7 @@ let block ?(probe = fun (_ : Core.Partition.t) -> ()) ?(seeds = []) cfg cost_t
   let greedy_ns = full_cost greedy_p in
   let flop_ns =
     (* plan-invariant arithmetic term, for absolute lower bounds *)
-    let contracted = Core.Contraction.decide t0 ~candidates in
+    let contracted = Core.Contraction.decide ~observe:false t0 ~candidates in
     let bp =
       {
         Sir.Scalarize.partition = t0;
@@ -643,7 +662,8 @@ let block ?(probe = fun (_ : Core.Partition.t) -> ()) ?(seeds = []) cfg cost_t
     else if !root_lb > neg_infinity then Some ((!root_lb *. scale) +. flop_ns)
     else None
   in
-  if Obs.enabled () then begin
+  if obs then begin
+    Obs.total "plan.ilp.price_ns" !price_ns;
     Obs.count "plan.ilp.columns" ncols;
     Obs.count "plan.ilp.nodes" !nodes;
     Obs.count "plan.ilp.cuts" !ncuts;

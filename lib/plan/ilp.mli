@@ -124,5 +124,5 @@ val block :
     ranked for the final answer (seeds, greedy, and each integral
     acyclic ILP solution) — tests use it to assert Definition 5
     validity.  [seeds] are alternative incumbents (must be partitions
-    of [g]).  Emits [plan.ilp.*] Obs counters and a ["plan-ilp"]
-    span. *)
+    of [g]).  Emits [plan.ilp.*] Obs counters, the pricing total
+    [plan.ilp.price_ns] and a ["plan-ilp"] span. *)

@@ -18,8 +18,10 @@ type stats = {
   improved : bool;
 }
 
+(* A generated state keeps only its canonical key and prices: the
+   partition (with its membership tables) is rebuilt from the key when
+   the state is expanded, which few states ever are. *)
 type state = {
-  p : Core.Partition.t;
   key : string;
   cost : Cost.breakdown;
   bound : float;
@@ -28,9 +30,58 @@ type state = {
 (* Canonical state identity: the cluster-representative vector.  Two
    partitions with the same vector are the same partition, so this
    both memoizes and makes every tie-break deterministic. *)
-let key_of n p =
-  String.concat "."
-    (List.init n (fun i -> string_of_int (Core.Partition.cluster_of p i)))
+let key_of n cluster_of =
+  let b = Buffer.create (4 * n) in
+  for i = 0 to n - 1 do
+    if i > 0 then Buffer.add_char b '.';
+    Buffer.add_string b (string_of_int (cluster_of i))
+  done;
+  Buffer.contents b
+
+let partition_of_key g key =
+  Core.Partition.of_reps g
+    (if Core.Asdg.n g = 0 then [||]
+     else
+       Array.of_list (List.map int_of_string (String.split_on_char '.' key)))
+
+(* Per-array facts the bound reads, fixed for the whole block search. *)
+type bound_facts = {
+  var_refs : int list array;  (** var -> referencing statements *)
+  var_lines : int array;  (** var -> lines of one sweep *)
+  var_index : (string, int) Hashtbl.t;
+  cands : (int * float) list;
+      (** eligible candidates (first reference is a write, a property
+          of the block rather than of the partition) in candidate
+          order: var index and reference weight × L1 hit ns *)
+}
+
+let bound_facts cost_t ~block ~candidates g =
+  let m = (Cost.cfg cost_t).Cost.machine in
+  let vars = Array.of_list (Core.Asdg.vars g) in
+  let var_index = Hashtbl.create (Array.length vars) in
+  Array.iteri (fun k x -> Hashtbl.replace var_index x k) vars;
+  let t0 = Core.Partition.trivial g in
+  {
+    var_refs = Array.map (Core.Asdg.stmts_referencing g) vars;
+    var_lines = Array.map (Cost.sweep_lines cost_t ~block) vars;
+    var_index;
+    cands =
+      List.filter_map
+        (fun x ->
+          match Hashtbl.find_opt var_index x with
+          | Some k when Core.Partition.first_ref_is_write t0 x ->
+              Some
+                ( k,
+                  float_of_int (Cost.block_weight cost_t ~block x)
+                  *. m.Machine.l1_hit_ns )
+          | _ -> None)
+        candidates;
+  }
+
+(* Number of distinct clusters among the statements. *)
+let clusters_among p stmts =
+  List.length
+    (List.sort_uniq Int.compare (List.map (Core.Partition.cluster_of p) stmts))
 
 (* Admissible optimism: from state [p] a descendant can at best
    (a) contract every remaining first-ref-is-write candidate — saving
@@ -38,59 +89,45 @@ let key_of n p =
    (b) fuse all clusters referencing an array down to one sweep; and
    (c) lose the entire communication bill.  Overestimating the
    achievable savings only weakens pruning, never correctness. *)
-let bound_of cost_t ~block ~candidates g p (bp : Sir.Scalarize.block_plan)
-    (cost : Cost.breakdown) =
-  let c = Cost.cfg cost_t in
-  let m = c.Cost.machine in
+let bound_of cost_t ~block facts p ~contracted (cost : Cost.breakdown) =
+  let m = (Cost.cfg cost_t).Cost.machine in
   let mult = float_of_int (Cost.block_mult cost_t ~block) in
-  let contracted = List.map fst bp.Sir.Scalarize.contracted in
   let miss_ub = m.Machine.l1_miss_ns +. m.Machine.l2_miss_ns in
-  let sweep_info x =
-    let refs = Core.Asdg.stmts_referencing g x in
-    let k =
-      List.length
-        (List.sort_uniq compare (List.map (Core.Partition.cluster_of p) refs))
-    in
-    let vol =
-      match refs with
-      | i :: _ -> Ir.Region.volume (Core.Asdg.stmt g i).Ir.Nstmt.region
-      | [] -> 0
-    in
-    (k, Cost.lines_of_volume cost_t vol)
-  in
+  let is_contracted = Array.make (Array.length facts.var_refs) false in
+  List.iter
+    (fun x ->
+      match Hashtbl.find_opt facts.var_index x with
+      | Some k -> is_contracted.(k) <- true
+      | None -> ())
+    contracted;
+  let k = Array.map (clusters_among p) facts.var_refs in
   let h_contract =
     List.fold_left
-      (fun acc x ->
-        if List.mem x contracted then acc
-        else if not (Core.Partition.first_ref_is_write p x) then acc
+      (fun acc (v, hit_ns) ->
+        if is_contracted.(v) then acc
         else
-          let k, lines = sweep_info x in
-          acc
-          +. (float_of_int (Cost.block_weight cost_t ~block x)
-             *. m.Machine.l1_hit_ns)
-          +. (float_of_int (k * lines) *. miss_ub))
-      0.0 candidates
+          acc +. hit_ns
+          +. (float_of_int (k.(v) * facts.var_lines.(v)) *. miss_ub))
+      0.0 facts.cands
   in
-  let h_locality =
-    List.fold_left
-      (fun acc x ->
-        if List.mem x contracted then acc
-        else
-          let k, lines = sweep_info x in
-          if k <= 1 then acc
-          else acc +. (float_of_int ((k - 1) * lines) *. miss_ub))
-      0.0 (Core.Asdg.vars g)
-  in
+  let h_locality = ref 0.0 in
+  Array.iteri
+    (fun v kv ->
+      if (not is_contracted.(v)) && kv > 1 then
+        h_locality :=
+          !h_locality +. (float_of_int ((kv - 1) * facts.var_lines.(v)) *. miss_ub))
+    k;
   cost.Cost.total_ns
-  -. ((mult *. (h_contract +. h_locality)) +. cost.Cost.comm_ns)
+  -. ((mult *. (h_contract +. !h_locality)) +. cost.Cost.comm_ns)
 
 (* All legal merge moves from [p]: the Figure-3 array moves plus
    pairwise cluster merges, each closed under GROW (so acyclicity is
    preserved by construction) and vetted by check_merge. *)
 let moves g p =
+  let grow = Core.Partition.grow p in
   let closure c =
     let c = List.sort_uniq compare c in
-    List.sort_uniq compare (c @ Core.Partition.grow p c)
+    List.sort_uniq compare (c @ grow c)
   in
   let array_moves =
     List.filter_map
@@ -122,14 +159,32 @@ module Frontier = Map.Make (struct
   let compare = compare
 end)
 
-let block ?(probe = fun (_ : Core.Partition.t) -> ()) cfg cost_t ~block
-    ~candidates g =
+let block ?probe cfg cost_t ~block ~candidates g =
   Obs.span "plan-search" @@ fun () ->
   let n = Core.Asdg.n g in
+  let facts = bound_facts cost_t ~block ~candidates g in
+  (* Phase clocks are read only under a recorder.  Workers return their
+     share with each state and the calling domain adds it in task
+     order, so the totals are emitted (with the same keys) at any
+     [cfg.jobs]. *)
+  let obs = Obs.enabled () in
+  let clock () = if obs then Obs.now_ns () else 0.0 in
+  let decide_ns = ref 0.0
+  and cost_ns = ref 0.0
+  and bound_ns = ref 0.0
+  and moves_ns = ref 0.0 in
+  let untimed = (0.0, 0.0, 0.0, 0.0) in
   (* pure: safe to evaluate from any pool worker (Cost.t serializes its
-     memo internally; everything else it touches is read-only) *)
-  let mk p =
-    let contracted = Core.Contraction.decide p ~candidates in
+     memo internally; everything else it touches is read-only).  The
+     contraction decision is silent: only the compiled plan's decision
+     reaches the contraction counters.  Building the partition counts
+     as move generation. *)
+  let mk (build, key) =
+    let tb = clock () in
+    let p = build () in
+    let t0 = clock () in
+    let contracted = Core.Contraction.decide ~observe:false p ~candidates in
+    let t1 = clock () in
     let bp =
       {
         Sir.Scalarize.partition = p;
@@ -138,18 +193,33 @@ let block ?(probe = fun (_ : Core.Partition.t) -> ()) cfg cost_t ~block
       }
     in
     let cost = Cost.block_cost cost_t ~block bp in
-    let bound = bound_of cost_t ~block ~candidates g p bp cost in
-    { p; key = key_of n p; cost; bound }
+    let t2 = clock () in
+    let bound = bound_of cost_t ~block facts p ~contracted cost in
+    let spent =
+      if obs then (t0 -. tb, t1 -. t0, t2 -. t1, clock () -. t2) else untimed
+    in
+    ({ key; cost; bound }, spent)
+  in
+  let priced (st, (m, d, c, b)) =
+    if obs then begin
+      moves_ns := !moves_ns +. m;
+      decide_ns := !decide_ns +. d;
+      cost_ns := !cost_ns +. c;
+      bound_ns := !bound_ns +. b
+    end;
+    st
   in
   let expanded = ref 0
   and generated = ref 0
   and pruned = ref 0
   and deduped = ref 0
   and beam_rounds = ref 0 in
+  (* a child partition is built for [probe] only when one is given *)
+  let probe_with build = Option.iter (fun f -> f (build ())) probe in
   let cost_state p =
-    probe p;
+    probe_with (fun () -> p);
     incr generated;
-    mk p
+    priced (mk ((fun () -> p), key_of n (Core.Partition.cluster_of p)))
   in
   (* seeds: the trivial partition (search root) and the paper's greedy
      c2+f3 result, which becomes the incumbent floor *)
@@ -158,7 +228,8 @@ let block ?(probe = fun (_ : Core.Partition.t) -> ()) cfg cost_t ~block
     Core.Fusion.for_locality (Core.Fusion.for_contraction ~candidates g)
   in
   let greedy =
-    if key_of n greedy_p = trivial.key then trivial else cost_state greedy_p
+    if key_of n (Core.Partition.cluster_of greedy_p) = trivial.key then trivial
+    else cost_state greedy_p
   in
   let incumbent =
     ref
@@ -182,26 +253,31 @@ let block ?(probe = fun (_ : Core.Partition.t) -> ()) cfg cost_t ~block
      probe, stat counters) fixes exactly which states get costed and in
      what order; only the pure costing fans out over the pool, and
      Pool.map returns in task order — so stats and tie-breaks are
-     independent of [cfg.jobs]. *)
+     independent of [cfg.jobs].  A child is keyed without building it;
+     each worker builds the partitions it prices, so a large sibling
+     batch never holds all of them at once. *)
   let children st =
+    let t0 = clock () in
+    let p = partition_of_key g st.key in
     let fresh =
       List.filter_map
         (fun c ->
-          let p' = Core.Partition.merge st.p c in
-          let key = key_of n p' in
+          let rep = Core.Partition.merged_rep p c in
+          let key = key_of n (fun i -> rep (Core.Partition.cluster_of p i)) in
           if Hashtbl.mem visited key then begin
             incr deduped;
             None
           end
           else begin
             Hashtbl.replace visited key ();
-            probe p';
+            probe_with (fun () -> Core.Partition.merge p c);
             incr generated;
-            Some p'
+            Some ((fun () -> Core.Partition.merge p c), key)
           end)
-        (moves g st.p)
+        (moves g p)
     in
-    Support.Pool.map ~domains:cfg.jobs mk fresh
+    if obs then moves_ns := !moves_ns +. (clock () -. t0);
+    List.map priced (Support.Pool.map ~domains:cfg.jobs mk fresh)
   in
   (* ---- branch and bound ------------------------------------------ *)
   let budget_left () = !generated < cfg.max_states in
@@ -272,7 +348,11 @@ let block ?(probe = fun (_ : Core.Partition.t) -> ()) cfg cost_t ~block
       | sorted -> beam := take cfg.beam_width sorted
     done
   end;
-  if Obs.enabled () then begin
+  if obs then begin
+    Obs.total "plan.decide_ns" !decide_ns;
+    Obs.total "plan.cost_ns" !cost_ns;
+    Obs.total "plan.bound_ns" !bound_ns;
+    Obs.total "plan.moves_ns" !moves_ns;
     Obs.count "plan.nodes-expanded" !expanded;
     Obs.count "plan.states-generated" !generated;
     Obs.count "plan.nodes-pruned" !pruned;
@@ -280,7 +360,7 @@ let block ?(probe = fun (_ : Core.Partition.t) -> ()) cfg cost_t ~block
     Obs.count "plan.beam-rounds" !beam_rounds
   end;
   let best = !incumbent in
-  ( best.p,
+  ( partition_of_key g best.key,
     {
       expanded = !expanded;
       generated = !generated;

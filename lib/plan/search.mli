@@ -69,4 +69,7 @@ val block :
     with [Core.Contraction.decide]'s scalar contractions.  [probe] is
     called on every state the search costs (tests use it to assert
     Definition 5 validity of the whole explored space).  Emits
-    [plan.*] Obs counters and a ["plan-search"] span. *)
+    [plan.*] Obs counters, the phase timing totals [plan.decide_ns],
+    [plan.cost_ns], [plan.bound_ns] and [plan.moves_ns], and a
+    ["plan-search"] span.  Pricing decides contraction silently (see
+    [Core.Contraction.decide]). *)

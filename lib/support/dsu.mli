@@ -1,9 +1,10 @@
 (** Disjoint-set union (union-find) over integers [0 .. n-1].
 
-    Fusion partitions are maintained as a DSU over statement indices:
-    merging fusible clusters is a union, and cluster identity is the
-    minimum statement index of the set (matching the paper's rule that
-    merged clusters are assigned to the [P_k] with smallest [k]). *)
+    Set identity is the minimum element (the paper's rule that merged
+    clusters are assigned to the [P_k] with smallest [k]).
+    [Core.Partition] keeps the same rule with an immutable
+    representative vector and precomputed membership; the core tests
+    check that membership against {!groups} after random merges. *)
 
 type t
 

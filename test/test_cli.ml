@@ -159,10 +159,17 @@ let test_list_levels () =
       out
   end
 
-(* --plan search: provenance lands in the stats JSON, the searched
-   cost never exceeds greedy's, and two runs emit identical plan
-   provenance (determinism satellite; span timings legitimately
-   differ, the plan must not). *)
+let check_nonneg_total j k =
+  match Obs.Json.find j [ "totals"; k ] with
+  | Some (Obs.Json.Float ns) ->
+      Alcotest.(check bool) (k ^ " >= 0") true (ns >= 0.0)
+  | Some (Obs.Json.Int ns) -> Alcotest.(check bool) (k ^ " >= 0") true (ns >= 0)
+  | _ -> Alcotest.failf "totals.%s missing" k
+
+(* --plan search: provenance and the planner's phase totals land in
+   the stats JSON, the searched cost never exceeds greedy's, and two
+   runs emit identical plan provenance (determinism satellite; span
+   timings legitimately differ, the plan must not). *)
 let test_plan_search_stats () =
   if available then begin
     let args = "--bench frac --tile 16 --plan search -m t3e -p 4 --stats json:-" in
@@ -191,6 +198,8 @@ let test_plan_search_stats () =
     (match Obs.Json.member "blocks" plan with
     | Some (Obs.Json.List (_ :: _)) -> ()
     | _ -> Alcotest.fail "plan.blocks missing");
+    List.iter (check_nonneg_total j)
+      [ "plan.decide_ns"; "plan.bound_ns"; "plan.cost_ns"; "plan.moves_ns" ];
     let _, out2 = run args in
     let plan_str j =
       match Obs.Json.of_string (String.trim j) with
@@ -203,6 +212,40 @@ let test_plan_search_stats () =
     Alcotest.(check string) "identical provenance across runs"
       (plan_str out) (plan_str out2)
   end
+
+(* Pricing a search state decides contraction silently: the counters
+   describe the compiled plan, one performed contraction per
+   [contract] line of its dump. *)
+let test_plan_contraction_counters () =
+  if available then
+    List.iter
+      (fun plan ->
+        let args =
+          Printf.sprintf "--bench frac --tile 16 --plan %s -m t3e -p 4" plan
+        in
+        let code, dump = run (args ^ " --dump-plan") in
+        Alcotest.(check int) "exit 0" 0 code;
+        let contract_lines =
+          String.split_on_char '\n' dump
+          |> List.filter (fun l -> Astring.String.is_prefix ~affix:"contract " l)
+          |> List.length
+        in
+        let _, out = run (args ^ " --stats json:-") in
+        let j =
+          match Obs.Json.of_string (String.trim out) with
+          | Ok j -> j
+          | Error e -> Alcotest.failf "stats not valid JSON (%s)" e
+        in
+        Alcotest.(check bool) (plan ^ ": contracts something") true
+          (contract_lines > 0);
+        (match Obs.Json.find j [ "counters"; "contraction.performed" ] with
+        | Some (Obs.Json.Int v) ->
+            Alcotest.(check int)
+              (plan ^ ": contraction.performed = contract lines")
+              contract_lines v
+        | _ -> Alcotest.fail "counters.contraction.performed missing");
+        if plan = "ilp" then check_nonneg_total j "plan.ilp.price_ns")
+      [ "search"; "ilp" ]
 
 let test_bad_plan_fails () =
   if available then begin
@@ -255,6 +298,8 @@ let suites =
         Alcotest.test_case "list levels golden" `Quick test_list_levels;
         Alcotest.test_case "plan search stats + determinism" `Slow
           test_plan_search_stats;
+        Alcotest.test_case "plan contraction counters exact" `Slow
+          test_plan_contraction_counters;
         Alcotest.test_case "fuzz campaign smoke" `Slow test_fuzz_flag;
         Alcotest.test_case "bad plan rejected" `Quick test_bad_plan_fails;
         Alcotest.test_case "bad input" `Quick test_bad_input_fails;

@@ -420,6 +420,123 @@ let prop_contracted_deps_null =
                      && Vec.is_null l.Core.Dep.udv))
             contracted)
 
+(* ------------------------------------------------------------------ *)
+(* The ASDG index and partition membership against naive rescans       *)
+(* ------------------------------------------------------------------ *)
+
+(* Reference definitions: rescan every statement or edge per query. *)
+let naive_vars g =
+  let seen = Hashtbl.create 16 in
+  Array.fold_left
+    (fun acc s ->
+      List.fold_left
+        (fun acc x ->
+          if Hashtbl.mem seen x then acc
+          else begin
+            Hashtbl.add seen x ();
+            x :: acc
+          end)
+        acc (Nstmt.arrays s))
+    [] (Core.Asdg.stmts g)
+  |> List.rev
+
+let naive_stmts_referencing g x =
+  List.filter
+    (fun i -> List.mem x (Nstmt.arrays (Core.Asdg.stmt g i)))
+    (List.init (Core.Asdg.n g) Fun.id)
+
+let naive_deps_on g x =
+  List.concat_map
+    (fun (i, j) ->
+      List.filter_map
+        (fun (l : Core.Dep.label) ->
+          if l.var = x then Some ((i, j), l) else None)
+        (Core.Asdg.labels g i j))
+    (Core.Asdg.edges g)
+
+let index_agrees g =
+  let vars = naive_vars g in
+  vars = Core.Asdg.vars g
+  && List.for_all
+       (fun x ->
+         naive_stmts_referencing g x = Core.Asdg.stmts_referencing g x
+         && naive_deps_on g x = Core.Asdg.deps_on g x)
+       ("no-such-array" :: vars)
+
+let test_index_suite () =
+  List.iter
+    (fun (b : Suite.bench) ->
+      List.iteri
+        (fun bi stmts ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s block %d" b.Suite.name bi)
+            true
+            (index_agrees (Core.Asdg.build stmts)))
+        (Prog.blocks (Suite.program b)))
+    (Suite.all @ Suite.extras)
+
+let prop_index_generated =
+  QCheck.Test.make ~name:"ASDG index equals rescans on generated programs"
+    ~count:100 QCheck.small_nat (fun seed ->
+      let prog =
+        Fuzz.Gen.generate (Support.Prng.create (Int64.of_int seed))
+      in
+      List.for_all
+        (fun stmts -> index_agrees (Core.Asdg.build stmts))
+        (Prog.blocks prog))
+
+(* Drive random legal merges (pairs closed under GROW, kept only when
+   check_merge accepts) while mirroring every merge in a Dsu; the
+   precomputed membership must equal what the Dsu derives. *)
+let prop_membership_matches_dsu =
+  QCheck.Test.make
+    ~name:"partition membership equals Dsu.groups after legal merges"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         pair random_block_gen
+           (list_size (int_range 0 10) (pair small_nat small_nat))))
+    (fun (specs, picks) ->
+      match mk_block specs with
+      | [] -> true
+      | stmts ->
+          let g = Core.Asdg.build stmts in
+          let n = Core.Asdg.n g in
+          let d = Support.Dsu.create n in
+          let merge p (a, b) =
+            let c =
+              List.sort_uniq compare
+                [ Core.Partition.cluster_of p (a mod n);
+                  Core.Partition.cluster_of p (b mod n) ]
+            in
+            let c = List.sort_uniq compare (c @ Core.Partition.grow p c) in
+            if Core.Partition.can_merge p c then begin
+              List.iter (fun r -> Support.Dsu.union d (List.hd c) r) c;
+              Core.Partition.merge p c
+            end
+            else p
+          in
+          let p = List.fold_left merge (Core.Partition.trivial g) picks in
+          let groups = Support.Dsu.groups d in
+          let naive_edges =
+            Core.Asdg.edges g
+            |> List.filter_map (fun (i, j) ->
+                   let ri = Support.Dsu.find d i and rj = Support.Dsu.find d j in
+                   if ri = rj then None else Some (ri, rj))
+            |> List.sort_uniq compare
+          in
+          let reps = Array.init n (Core.Partition.cluster_of p) in
+          Core.Partition.clusters p = groups
+          && List.for_all
+               (fun grp -> Core.Partition.members p (List.hd grp) = grp)
+               groups
+          && Core.Partition.n_clusters p = List.length groups
+          && Array.for_all Fun.id
+               (Array.mapi (fun i r -> r = Support.Dsu.find d i) reps)
+          && Core.Partition.inter_cluster_edges p = naive_edges
+          && Core.Partition.clusters (Core.Partition.of_reps g reps) = groups
+          && Core.Partition.is_valid p)
+
 let suites =
   [
     ( "core.fig2",
@@ -455,4 +572,10 @@ let suites =
       ] );
     ( "core.contraction",
       [ Alcotest.test_case "partial (extension)" `Quick test_partial_contraction ] );
+    ( "core.index",
+      [
+        Alcotest.test_case "suite blocks equal rescans" `Quick test_index_suite;
+        QCheck_alcotest.to_alcotest prop_index_generated;
+        QCheck_alcotest.to_alcotest prop_membership_matches_dsu;
+      ] );
   ]

@@ -462,6 +462,59 @@ let test_never_worse_across_suite () =
         <= prov.Plan.Driver.greedy_total_ns +. 1e-6))
     Suite.all
 
+(* Search trajectories pinned at the plan-cold benchmark cells (plus
+   simple at tile 16): a faster planner must visit the same states in
+   the same order, not merely end at the same plan.  Each row is
+   (program, tile, machine, procs), the counters plan.states-generated,
+   nodes-expanded, states-deduped and beam-rounds summed over blocks,
+   and the chosen plan's total ns. *)
+let trajectory_goldens =
+  [
+    ("frac", None, Machine.t3e, 1, (4007, 179, 2814, 1), 0x1.5506666666666p+22);
+    ("frac", None, Machine.sp2, 4, (4021, 185, 3029, 1), 0x1.20c399999999ap+23);
+    ( "tomcatv", None, Machine.paragon, 4, (4273, 47, 1152, 6),
+      0x1.3c3f95999999ap+24 );
+    ("adi3d", None, Machine.sp2, 16, (49, 48, 90, 0), 0x1.89744cccccccdp+21);
+    ("adi3d", None, Machine.paragon, 1, (49, 48, 90, 0), 0x1.2792d66666667p+22);
+    ("simple", Some 16, Machine.t3e, 16, (10831, 132, 3675, 24), 0x1.36324cccccccdp+20);
+  ]
+
+let test_search_trajectories () =
+  List.iter
+    (fun (name, tile, machine, procs, (gen, exp, dedup, beam), total) ->
+      let prog = Suite.program ?tile (Option.get (Suite.by_name name)) in
+      let cost =
+        Plan.Cost.create
+          { Plan.Cost.machine; procs; opts = Comm.Model.all_on }
+          prog
+      in
+      let r = Obs.create () in
+      let prov =
+        match Obs.run r (fun () -> Plan.Driver.compile ~cost prog) with
+        | Ok (_, prov) -> prov
+        | Error d ->
+            Alcotest.failf "plan compile failed: %s"
+              (Obs.Diagnostic.to_string d)
+      in
+      let counters = (Obs.report r).Obs.counters in
+      let counter k = Option.value ~default:(-1) (List.assoc_opt k counters) in
+      let cell = Printf.sprintf "%s %s/%d" name machine.Machine.name procs in
+      Alcotest.(check (list int))
+        (cell ^ ": generated, expanded, deduped, beam rounds")
+        [ gen; exp; dedup; beam ]
+        (List.map counter
+           [
+             "plan.states-generated";
+             "plan.nodes-expanded";
+             "plan.states-deduped";
+             "plan.beam-rounds";
+           ]);
+      Alcotest.(check string)
+        (cell ^ ": chosen total_ns")
+        (Printf.sprintf "%h" total)
+        (Printf.sprintf "%h" prov.Plan.Driver.chosen_total_ns))
+    trajectory_goldens
+
 let suites =
   [
     ( "plan",
@@ -484,6 +537,8 @@ let suites =
           test_ilp_deterministic;
         Alcotest.test_case "search never worse across suite" `Slow
           test_never_worse_across_suite;
+        Alcotest.test_case "search trajectories pinned" `Slow
+          test_search_trajectories;
         QCheck_alcotest.to_alcotest prop_search_states_valid;
         QCheck_alcotest.to_alcotest prop_search_never_worse;
         QCheck_alcotest.to_alcotest prop_ilp_partitions_valid;
