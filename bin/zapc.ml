@@ -104,17 +104,6 @@ let dispatch ~connect ~jobs req =
 (* Response rendering                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let native_json (n : Api.native_summary) =
-  let open Obs.Json in
-  Obj
-    [
-      ("checksum", String n.Api.native_checksum);
-      ("wall_ns", Int (Int64.to_int n.Api.native_wall_ns));
-      ("compiler", String n.Api.native_compiler);
-      ("units", Int n.Api.native_units);
-      ("matches", Bool n.Api.native_matches);
-    ]
-
 let stats_json ?spmd ?native ?plan (s : Api.summary) report =
   let open Obs.Json in
   let base =
@@ -142,7 +131,7 @@ let stats_json ?spmd ?native ?plan (s : Api.summary) report =
   let base = match spmd with Some j -> base @ [ ("spmd", j) ] | None -> base in
   let base =
     match native with
-    | Some n -> base @ [ ("native", native_json n) ]
+    | Some n -> base @ [ ("native", Api.native_codec.enc n) ]
     | None -> base
   in
   let base =

@@ -138,8 +138,17 @@ module Json = struct
             | Some 'f' -> Buffer.add_char b '\012'; advance (); go ()
             | Some 'u' ->
                 advance ();
-                if !pos + 4 > n then fail "bad \\u escape";
-                let code = int_of_string ("0x" ^ String.sub s !pos 4) in
+                let digit i =
+                  match if !pos + i < n then s.[!pos + i] else ' ' with
+                  | '0' .. '9' as c -> Char.code c - Char.code '0'
+                  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+                  | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+                  | _ -> fail "bad \\u escape"
+                in
+                let code =
+                  (digit 0 lsl 12) lor (digit 1 lsl 8) lor (digit 2 lsl 4)
+                  lor digit 3
+                in
                 pos := !pos + 4;
                 (* our own printer only escapes control characters *)
                 if code < 0x80 then Buffer.add_char b (Char.chr code)
@@ -247,6 +256,189 @@ module Json = struct
     match path with
     | [] -> Some v
     | k :: rest -> ( match member k v with None -> None | Some v' -> find v' rest)
+
+  (* Bidirectional codecs: one value per wire type *)
+  module Codec = struct
+    type json = t
+    type 'a t = { enc : 'a -> json; dec : json -> ('a, string) result }
+
+    let ( let* ) = Result.bind
+
+    let scalar what enc get =
+      {
+        enc;
+        dec =
+          (fun j ->
+            match get j with
+            | Some v -> Ok v
+            | None -> Error ("expected " ^ what));
+      }
+
+    let bool =
+      scalar "a boolean" (fun b -> Bool b) (function
+        | Bool b -> Some b
+        | _ -> None)
+
+    let string =
+      scalar "a string" (fun s -> String s) (function
+        | String s -> Some s
+        | _ -> None)
+
+    (* integral floats are accepted only inside the int range, where the
+       conversion is exact *)
+    let int =
+      let lo = Float.of_int min_int in
+      scalar "an integer" (fun i -> Int i) (function
+        | Int i -> Some i
+        | Float f when Float.is_integer f && lo <= f && f < -.lo ->
+            Some (int_of_float f)
+        | _ -> None)
+
+    let float =
+      scalar "a number" (fun f -> Float f) (function
+        | Int i -> Some (float_of_int i)
+        | Float f -> Some f
+        | _ -> None)
+
+    let json = { enc = Fun.id; dec = Result.ok }
+
+    let nullable c =
+      {
+        enc = (function None -> Null | Some v -> c.enc v);
+        dec =
+          (function Null -> Ok None | j -> Result.map Option.some (c.dec j));
+      }
+
+    let map_result f l =
+      let rec go acc = function
+        | [] -> Ok (List.rev acc)
+        | x :: tl ->
+            let* y = f x in
+            go (y :: acc) tl
+      in
+      go [] l
+
+    let list c =
+      {
+        enc = (fun l -> List (List.map c.enc l));
+        dec =
+          (function
+          | List l -> map_result c.dec l | _ -> Error "expected an array");
+      }
+
+    let assoc c =
+      let entry (k, j) = Result.map (fun v -> (k, v)) (c.dec j) in
+      {
+        enc = (fun kvs -> Obj (List.map (fun (k, v) -> (k, c.enc v)) kvs));
+        dec =
+          (function
+          | Obj kvs -> map_result entry kvs | _ -> Error "expected an object");
+      }
+
+    let enum what name of_name =
+      {
+        enc = (fun v -> String (name v));
+        dec =
+          (fun j ->
+            let* s = string.dec j in
+            match of_name s with
+            | Some v -> Ok v
+            | None -> Error (Printf.sprintf "unknown %s %S" what s));
+      }
+
+    let fix f =
+      let self = ref None in
+      let get () =
+        match !self with
+        | Some c -> c
+        | None -> invalid_arg "Json.fix: codec used while being defined"
+      in
+      let c =
+        f { enc = (fun v -> (get ()).enc v); dec = (fun j -> (get ()).dec j) }
+      in
+      self := Some c;
+      c
+
+    (* An object under construction: [fields] prepends the members of a
+       value (so the list comes out reversed), [build] reads them back
+       into the constructor applied so far. *)
+    type ('o, 'k) obj = {
+      fields : 'o -> (string * json) list -> (string * json) list;
+      build : (string * json) list -> ('k, string) result;
+    }
+
+    let obj k = { fields = (fun _ acc -> acc); build = (fun _ -> Ok k) }
+
+    let mem ?default ?(omit = fun _ -> false) name c get o =
+      {
+        fields =
+          (fun v acc ->
+            let acc = o.fields v acc in
+            if omit v then acc else (name, c.enc (get v)) :: acc);
+        build =
+          (fun kvs ->
+            let* k = o.build kvs in
+            match (List.assoc_opt name kvs, default) with
+            | Some j, _ -> Result.map k (c.dec j)
+            | None, Some d -> Ok (k d)
+            | None, None -> Error (Printf.sprintf "missing field %S" name));
+      }
+
+    let opt name c get =
+      mem ~default:None
+        ~omit:(fun v -> Option.is_none (get v))
+        name (nullable c) get
+
+    let finish o =
+      {
+        enc = (fun v -> Obj (List.rev (o.fields v [])));
+        dec =
+          (function Obj kvs -> o.build kvs | _ -> Error "expected an object");
+      }
+
+    type ('k, 'a) case = {
+      tag : 'k;
+      project : 'a -> (string * json) list option;
+      inject : json -> ('a, string) result;
+    }
+
+    let case tag c inj prj =
+      let members v =
+        match c.enc v with
+        | Obj kvs -> kvs
+        | _ -> invalid_arg "Json.case: the payload must encode to an object"
+      in
+      {
+        tag;
+        project = (fun v -> Option.map members (prj v));
+        inject = (fun j -> Result.map inj (c.dec j));
+      }
+
+    let variant name tag cases =
+      let tagged c v =
+        Option.map
+          (fun kvs -> Obj ((name, tag.enc c.tag) :: kvs))
+          (c.project v)
+      in
+      {
+        enc =
+          (fun v ->
+            match List.find_map (fun c -> tagged c v) cases with
+            | Some j -> j
+            | None -> invalid_arg ("Json.variant: no case for this " ^ name));
+        dec =
+          (fun j ->
+            match member name j with
+            | None -> Error (Printf.sprintf "missing field %S" name)
+            | Some tj -> (
+                let* t = tag.dec tj in
+                match List.find_opt (fun c -> c.tag = t) cases with
+                | Some c -> c.inject j
+                | None ->
+                    Error
+                      (Printf.sprintf "unknown %s %s" name (to_string tj))));
+      }
+  end
 end
 
 (* ------------------------------------------------------------------ *)
@@ -283,15 +475,27 @@ module Diagnostic = struct
 
   let pp ppf d = Format.pp_print_string ppf (to_string d)
 
-  let to_json d =
-    Json.Obj
-      ([ ("severity", Json.String (severity_name d.severity));
-         ("phase", Json.String d.phase) ]
-      @ (match d.loc with
-        | Some (file, line) ->
-            [ ("file", Json.String file); ("line", Json.Int line) ]
-        | None -> [])
-      @ [ ("message", Json.String d.message) ])
+  let codec =
+    let open Json.Codec in
+    let severity_of_name = function
+      | "error" -> Some Error
+      | "warning" -> Some Warning
+      | _ -> None
+    in
+    obj (fun severity phase file line message ->
+        let loc =
+          match (file, line) with Some f, Some l -> Some (f, l) | _ -> None
+        in
+        { severity; phase; loc; message })
+    |> mem "severity" (enum "severity" severity_name severity_of_name)
+         (fun d -> d.severity)
+    |> mem "phase" string (fun d -> d.phase)
+    |> opt "file" string (fun d -> Option.map fst d.loc)
+    |> opt "line" int (fun d -> Option.map snd d.loc)
+    |> mem "message" string (fun d -> d.message)
+    |> finish
+
+  let to_json d = codec.enc d
 end
 
 exception Error of Diagnostic.t

@@ -24,7 +24,7 @@
     [Driver.compile] and of the [zapc] command line). *)
 
 (** Minimal JSON values: enough to serialize compile reports and bench
-    rows, and to parse them back in tests. *)
+    rows, and to carry the [zapd] wire protocol through {!Codec}. *)
 module Json : sig
   type t =
     | Null
@@ -44,13 +44,97 @@ module Json : sig
 
   val of_string : string -> (t, string) result
   (** Strict parser for the subset this module prints (numbers,
-      strings with the common escapes, arrays, objects). *)
+      strings with the common escapes, arrays, objects).  Never raises:
+      malformed input is an [Error]. *)
 
   val member : string -> t -> t option
   (** Field lookup on [Obj]; [None] elsewhere. *)
 
   val find : t -> string list -> t option
   (** Nested field lookup along a path. *)
+
+  (** Bidirectional codecs: one value describes a wire type and both
+      encodes and decodes it.  Types are built from scalars, lists,
+      objects ({!obj} … {!finish}) and tagged unions ({!variant}).
+      The decoders built here never raise: every failure is an
+      [Error] with a one-line message. *)
+  module Codec : sig
+    type json := t
+    type 'a t = { enc : 'a -> json; dec : json -> ('a, string) result }
+
+    val bool : bool t
+    val string : string t
+
+    val int : int t
+    (** Also decodes integral floats inside the [int] range. *)
+
+    val float : float t
+    (** Also decodes integers. *)
+
+    val json : json t
+    (** Any value, passed through unchanged. *)
+
+    val nullable : 'a t -> 'a option t
+    (** [None] is [null]. *)
+
+    val list : 'a t -> 'a list t
+
+    val assoc : 'a t -> (string * 'a) list t
+    (** An object read as its ordered (key, value) pairs. *)
+
+    val enum : string -> ('a -> string) -> (string -> 'a option) -> 'a t
+    (** [enum what name of_name]: a value spelled as a string; unknown
+        spellings fail with ["unknown <what> \"<s>\""]. *)
+
+    val fix : ('a t -> 'a t) -> 'a t
+    (** A recursive codec: [f] receives the codec being defined and must
+        not use it before returning. *)
+
+    type ('o, 'k) obj
+    (** The members of an object holding an ['o], in wire order; ['k] is
+        what the constructor still needs. *)
+
+    val obj : 'k -> ('o, 'k) obj
+    (** [obj constructor] starts an object with no members.  The
+        constructor takes the member values in wire order. *)
+
+    val mem :
+      ?default:'a ->
+      ?omit:('o -> bool) ->
+      string ->
+      'a t ->
+      ('o -> 'a) ->
+      ('o, 'a -> 'k) obj ->
+      ('o, 'k) obj
+    (** [mem name c get] appends a member.  It is required unless
+        [default] is given, which an absent member decodes to.  It is left
+        out of the encoding of values for which [omit] holds. *)
+
+    val opt :
+      string ->
+      'a t ->
+      ('o -> 'a option) ->
+      ('o, 'a option -> 'k) obj ->
+      ('o, 'k) obj
+    (** An optional member: left out when [None]; absent or [null]
+        decodes to [None]. *)
+
+    val finish : ('o, 'o) obj -> 'o t
+    (** Decoding a non-object fails; unknown members are ignored. *)
+
+    type ('k, 'a) case
+
+    val case : 'k -> 'p t -> ('p -> 'a) -> ('a -> 'p option) -> ('k, 'a) case
+    (** [case tag payload inject project]: the values [project] accepts
+        are tagged [tag], with the members of their payload (which must
+        encode to an object) after the tag. *)
+
+    val variant : string -> 'k t -> ('k, 'a) case list -> 'a t
+    (** [variant name tag cases]: a tagged union whose tag is the first
+        member, [name], decoded with [tag] and compared with [=].
+        Encoding a value that no case accepts raises
+        [Invalid_argument]. *)
+  end
 end
 
 (** Uniform compiler diagnostics: the error type of the result-based
@@ -79,7 +163,14 @@ module Diagnostic : sig
       the location prefixed when present. *)
 
   val pp : Format.formatter -> t -> unit
+
+  val codec : t Json.Codec.t
+  (** [{"severity", "phase", "file"?, "line"?, "message"}]: [file] and
+      [line] carry the location, which decodes only when both are
+      present. *)
+
   val to_json : t -> Json.t
+  (** [codec.enc]. *)
 end
 
 exception Error of Diagnostic.t

@@ -203,72 +203,109 @@ let compile_ilp ?(search = Search.default) ?(ilp = Ilp.default) ~cost prog =
                 ilp_blocks;
               } ))
 
-let provenance_json p =
-  let open Obs.Json in
-  let opt_float = function Some v -> Float v | None -> Null in
-  let opt_bool = function Some v -> Bool v | None -> Null in
-  Obj
-    ([
-       ("strategy", String p.strategy);
-       ("machine", String p.machine);
-       ("procs", Int p.procs);
-       ("greedy_total_ns", Float p.greedy_total_ns);
-       ("search_total_ns", Float p.search_total_ns);
-       ("chosen_total_ns", Float p.chosen_total_ns);
-       ("fallback", Bool p.fallback);
-     ]
-    @ (match p.ilp_total_ns with
-      | None -> []
-      | Some _ ->
-          [
-            ("ilp_total_ns", opt_float p.ilp_total_ns);
-            ("proved_optimal", opt_bool p.proved_optimal);
-            ("certified_lb_ns", opt_float p.certified_lb_ns);
-          ])
-    @ [
-        ( "blocks",
-          List
-            (List.map
-               (fun r ->
-                 Obj
-                   [
-                     ("block", Int r.block);
-                     ("expanded", Int r.stats.Search.expanded);
-                     ("generated", Int r.stats.Search.generated);
-                     ("pruned", Int r.stats.Search.pruned);
-                     ("deduped", Int r.stats.Search.deduped);
-                     ("beam_rounds", Int r.stats.Search.beam_rounds);
-                     ("greedy_ns", Float r.stats.Search.greedy_ns);
-                     ("best_ns", Float r.stats.Search.best_ns);
-                     ("improved", Bool r.stats.Search.improved);
-                   ])
-               p.blocks) );
-      ]
-    @
-    match p.ilp_blocks with
-    | [] -> []
-    | ilp_blocks ->
-        [
-          ( "ilp_blocks",
-            List
-              (List.map
-                 (fun r ->
-                   Obj
-                     [
-                       ("block", Int r.iblock);
-                       ("clusters", Int r.istats.Ilp.clusters);
-                       ("complete", Bool r.istats.Ilp.complete);
-                       ("nodes", Int r.istats.Ilp.nodes);
-                       ("cuts", Int r.istats.Ilp.cuts);
-                       ("pivots", Int r.istats.Ilp.pivots);
-                       ("proved", Bool r.istats.Ilp.proved);
-                       ( "objective_exact",
-                         Bool r.istats.Ilp.objective_exact );
-                       ( "lower_bound_ns",
-                         opt_float r.istats.Ilp.lower_bound_ns );
-                       ("greedy_ns", Float r.istats.Ilp.greedy_ns);
-                       ("best_ns", Float r.istats.Ilp.best_ns);
-                       ("improved", Bool r.istats.Ilp.improved);
-                     ])
-                 ilp_blocks) );
-        ])
+let provenance_codec =
+  let open Obs.Json.Codec in
+  let search_block =
+    obj
+      (fun block expanded generated pruned deduped beam_rounds greedy_ns
+           best_ns improved ->
+        {
+          block;
+          stats =
+            {
+              Search.expanded;
+              generated;
+              pruned;
+              deduped;
+              beam_rounds;
+              greedy_ns;
+              best_ns;
+              improved;
+            };
+        })
+    |> mem "block" int (fun r -> r.block)
+    |> mem "expanded" int (fun r -> r.stats.Search.expanded)
+    |> mem "generated" int (fun r -> r.stats.Search.generated)
+    |> mem "pruned" int (fun r -> r.stats.Search.pruned)
+    |> mem "deduped" int (fun r -> r.stats.Search.deduped)
+    |> mem "beam_rounds" int (fun r -> r.stats.Search.beam_rounds)
+    |> mem "greedy_ns" float (fun r -> r.stats.Search.greedy_ns)
+    |> mem "best_ns" float (fun r -> r.stats.Search.best_ns)
+    |> mem "improved" bool (fun r -> r.stats.Search.improved)
+    |> finish
+  in
+  let ilp_block =
+    obj
+      (fun iblock clusters complete nodes cuts pivots proved objective_exact
+           lower_bound_ns greedy_ns best_ns improved ->
+        {
+          iblock;
+          istats =
+            {
+              Ilp.clusters;
+              complete;
+              nodes;
+              cuts;
+              pivots;
+              proved;
+              objective_exact;
+              lower_bound_ns;
+              greedy_ns;
+              best_ns;
+              improved;
+            };
+        })
+    |> mem "block" int (fun r -> r.iblock)
+    |> mem "clusters" int (fun r -> r.istats.Ilp.clusters)
+    |> mem "complete" bool (fun r -> r.istats.Ilp.complete)
+    |> mem "nodes" int (fun r -> r.istats.Ilp.nodes)
+    |> mem "cuts" int (fun r -> r.istats.Ilp.cuts)
+    |> mem "pivots" int (fun r -> r.istats.Ilp.pivots)
+    |> mem "proved" bool (fun r -> r.istats.Ilp.proved)
+    |> mem "objective_exact" bool (fun r -> r.istats.Ilp.objective_exact)
+    |> mem ~default:None "lower_bound_ns" (nullable float) (fun r ->
+           r.istats.Ilp.lower_bound_ns)
+    |> mem "greedy_ns" float (fun r -> r.istats.Ilp.greedy_ns)
+    |> mem "best_ns" float (fun r -> r.istats.Ilp.best_ns)
+    |> mem "improved" bool (fun r -> r.istats.Ilp.improved)
+    |> finish
+  in
+  (* the ILP fields appear together, only under compile_ilp *)
+  let ilp_field name c get =
+    mem ~default:None ~omit:(fun p -> Option.is_none p.ilp_total_ns) name
+      (nullable c) get
+  in
+  obj
+    (fun strategy machine procs greedy_total_ns search_total_ns
+         chosen_total_ns fallback ilp_total_ns proved_optimal certified_lb_ns
+         blocks ilp_blocks ->
+      {
+        strategy;
+        machine;
+        procs;
+        greedy_total_ns;
+        search_total_ns;
+        ilp_total_ns;
+        chosen_total_ns;
+        fallback;
+        proved_optimal;
+        certified_lb_ns;
+        blocks;
+        ilp_blocks;
+      })
+  |> mem "strategy" string (fun p -> p.strategy)
+  |> mem "machine" string (fun p -> p.machine)
+  |> mem "procs" int (fun p -> p.procs)
+  |> mem "greedy_total_ns" float (fun p -> p.greedy_total_ns)
+  |> mem "search_total_ns" float (fun p -> p.search_total_ns)
+  |> mem "chosen_total_ns" float (fun p -> p.chosen_total_ns)
+  |> mem "fallback" bool (fun p -> p.fallback)
+  |> ilp_field "ilp_total_ns" float (fun p -> p.ilp_total_ns)
+  |> ilp_field "proved_optimal" bool (fun p -> p.proved_optimal)
+  |> ilp_field "certified_lb_ns" float (fun p -> p.certified_lb_ns)
+  |> mem "blocks" (list search_block) (fun p -> p.blocks)
+  |> mem ~default:[] ~omit:(fun p -> p.ilp_blocks = []) "ilp_blocks"
+       (list ilp_block) (fun p -> p.ilp_blocks)
+  |> finish
+
+let provenance_json p = provenance_codec.Obs.Json.Codec.enc p

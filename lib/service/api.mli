@@ -204,8 +204,11 @@ val level_of_name : string -> (Compilers.Driver.level, Obs.Diagnostic.t) result
 
 (** {1 Wire codecs}
 
-    Total: every value round-trips ([request_of_json (request_to_json
-    r) = Ok r], and likewise for responses — property-tested). *)
+    Each wire type is described once, by an {!Obs.Json.Codec.t} value
+    that both encodes and decodes it; these values are the grammar of
+    docs/zapd.md.  Decoding never raises, and every value round-trips
+    ([request_of_json (request_to_json r) = Ok r], and likewise for
+    responses — property-tested). *)
 
 val request_to_json : request -> Obs.Json.t
 val request_of_json : Obs.Json.t -> (request, string) result
@@ -215,6 +218,6 @@ val response_of_json : Obs.Json.t -> (response, string) result
 val request_of_line : string -> (request, string) result
 (** Parse one protocol line. *)
 
-val provenance_of_json : Obs.Json.t -> (Plan.Driver.provenance, string) result
-(** Inverse of {!Plan.Driver.provenance_json} (used by the client side
-    of the wire). *)
+val native_codec : native_summary Obs.Json.Codec.t
+(** The ["native"] member of a [ran] reply, also embedded in [zapc
+    --stats json] reports. *)

@@ -236,43 +236,51 @@ let compute t ~search_jobs ~level ~(opts : Api.compile_opts)
       in
       Ok { cc = c; prov = Some prov; artifact = Atomic.make None }
 
+(* Claim [key] and run [compute], or wait for whichever domain already
+   claimed it and return [ready ()], which that computation made
+   available.  [ready] is also tried before claiming, under the lock.
+   Compute runs outside the lock; a result it does not publish (a
+   failure) leaves [ready] at [None], so the next caller recomputes. *)
+let coalesce t key ~ready compute =
+  let claimed =
+    Mutex.protect t.inflight_lock (fun () ->
+        while Hashtbl.mem t.inflight key do
+          Condition.wait t.inflight_cond t.inflight_lock
+        done;
+        match ready () with
+        | Some _ as r -> r
+        | None ->
+            Hashtbl.add t.inflight key ();
+            None)
+  in
+  match claimed with
+  | Some r -> r
+  | None ->
+      let release () =
+        Mutex.protect t.inflight_lock (fun () ->
+            Hashtbl.remove t.inflight key;
+            Condition.broadcast t.inflight_cond)
+      in
+      Fun.protect ~finally:release compute
+
 let cached_compile t ~search_jobs ~level ~opts ~target prog =
   let fingerprint = Ir.Prog.fingerprint prog in
   let* key = cache_key ~fingerprint ~level ~opts ~target in
   let* entry =
     match Cache.find t.cache key with
     | Some v -> Ok v
-    | None -> (
-        (* miss: claim the key, or wait for whichever domain already
-           claimed it and take its cached result.  Compute happens
-           outside both the shard lock and the inflight lock; only
-           successes are cached, so a failing program re-reports its
-           diagnostic on every request. *)
-        Mutex.lock t.inflight_lock;
-        let ks = Cache.key_to_string key in
-        while Hashtbl.mem t.inflight ks do
-          Condition.wait t.inflight_cond t.inflight_lock
-        done;
+    | None ->
         (* peek, not find: this lookup was already counted as a miss
            above — a waiter finding the freshly computed value must
-           not skew the hit/miss accounting *)
-        match Cache.peek t.cache key with
-        | Some v ->
-            Mutex.unlock t.inflight_lock;
-            Ok v
-        | None ->
-            Hashtbl.add t.inflight ks ();
-            Mutex.unlock t.inflight_lock;
-            let release () =
-              Mutex.lock t.inflight_lock;
-              Hashtbl.remove t.inflight ks;
-              Condition.broadcast t.inflight_cond;
-              Mutex.unlock t.inflight_lock
-            in
-            Fun.protect ~finally:release (fun () ->
-                let* v = compute t ~search_jobs ~level ~opts ~target prog in
-                Cache.add t.cache key v;
-                Ok v))
+           not skew the hit/miss accounting.  Only successes are
+           cached, so a failing program re-reports its diagnostic on
+           every request. *)
+        coalesce t (Cache.key_to_string key)
+          ~ready:(fun () -> Option.map Result.ok (Cache.peek t.cache key))
+          (fun () ->
+            let* v = compute t ~search_jobs ~level ~opts ~target prog in
+            Cache.add t.cache key v;
+            Ok v)
   in
   Ok (fingerprint, key, entry)
 
@@ -450,12 +458,11 @@ let spmd_of ~(m : Machine.t) ~procs (r : Comm.Perf.report)
 
 (* The artifact for a cache entry, building it at most once.  Fast
    path: the entry's own slot (a plain atomic read).  Cold path:
-   coalesce concurrent builders of the same plan on the inflight table
-   (same discipline as compiles, under a "native:"-prefixed key so a
-   build never blocks a compile of the same key), then consult the
-   content-addressed store — which may still answer without compiling,
-   from its memo or from an artifact a previous process left on
-   disk. *)
+   coalesce concurrent builders of the same plan (under a
+   "native:"-prefixed key so a build never blocks a compile of the
+   same key), then consult the content-addressed store — which may
+   still answer without compiling, from its memo or from an artifact
+   a previous process left on disk. *)
 let native_artifact t ~key (entry : cached) =
   let reuse a =
     Atomic.incr t.natives_reused;
@@ -463,41 +470,25 @@ let native_artifact t ~key (entry : cached) =
   in
   match Atomic.get entry.artifact with
   | Some a -> reuse a
-  | None -> (
-      Mutex.lock t.inflight_lock;
-      let ks = "native:" ^ Cache.key_to_string key in
-      while Hashtbl.mem t.inflight ks do
-        Condition.wait t.inflight_cond t.inflight_lock
-      done;
-      match Atomic.get entry.artifact with
-      | Some a ->
-          Mutex.unlock t.inflight_lock;
-          reuse a
-      | None ->
-          Hashtbl.add t.inflight ks ();
-          Mutex.unlock t.inflight_lock;
-          let release () =
-            Mutex.lock t.inflight_lock;
-            Hashtbl.remove t.inflight ks;
-            Condition.broadcast t.inflight_cond;
-            Mutex.unlock t.inflight_lock
-          in
-          Fun.protect ~finally:release (fun () ->
-              match
-                Native.Store.get t.native_store entry.cc.Compilers.Driver.code
-              with
-              | Ok (a, fresh) ->
-                  Atomic.set entry.artifact (Some a);
-                  if fresh then begin
-                    Atomic.incr t.natives_built;
-                    Native.Toolchain.note_obs ()
-                  end
-                  else Atomic.incr t.natives_reused;
-                  Ok a
-              | Error e ->
-                  Error
-                    (Diag.error ~phase:"native"
-                       (Native.Build.error_to_string e))))
+  | None ->
+      coalesce t
+        ("native:" ^ Cache.key_to_string key)
+        ~ready:(fun () -> Option.map reuse (Atomic.get entry.artifact))
+        (fun () ->
+          match
+            Native.Store.get t.native_store entry.cc.Compilers.Driver.code
+          with
+          | Ok (a, fresh) ->
+              Atomic.set entry.artifact (Some a);
+              if fresh then begin
+                Atomic.incr t.natives_built;
+                Native.Toolchain.note_obs ()
+              end
+              else Atomic.incr t.natives_reused;
+              Ok a
+          | Error e ->
+              Error
+                (Diag.error ~phase:"native" (Native.Build.error_to_string e)))
 
 let native_of t ~key ~(perf : Api.perf) entry =
   let* a = native_artifact t ~key entry in

@@ -23,9 +23,12 @@ let sample =
 
 let test_json_roundtrip () =
   let s = Obs.Json.to_string sample in
-  match Obs.Json.of_string s with
+  (match Obs.Json.of_string s with
   | Ok v -> Alcotest.check json "parse (print x) = x" sample v
-  | Error e -> Alcotest.failf "re-parse failed: %s on %s" e s
+  | Error e -> Alcotest.failf "re-parse failed: %s on %s" e s);
+  Alcotest.(check (result json string))
+    "\\u escapes in either case" (Ok (Obs.Json.String "AJk"))
+    (Obs.Json.of_string {|"\u0041\u004a\u006B"|})
 
 let test_json_accessors () =
   Alcotest.(check (option int))
@@ -48,7 +51,19 @@ let test_json_rejects_garbage () =
       match Obs.Json.of_string s with
       | Ok v -> Alcotest.failf "accepted %S as %s" s (Obs.Json.to_string v)
       | Error _ -> ())
-    [ ""; "{"; "[1,]"; "{\"a\":}"; "nulll"; "\"unterminated"; "{} trailing" ]
+    [
+      "";
+      "{";
+      "[1,]";
+      "{\"a\":}";
+      "nulll";
+      "\"unterminated";
+      "{} trailing";
+      (* bad \u escapes are parse errors, not exceptions *)
+      {|{"op":"stats","x":"\uZZZZ"}|};
+      {|"\u12G4"|};
+      {|"\u00"|};
+    ]
 
 (* ---------------- Diagnostic ------------------------------------- *)
 

@@ -242,6 +242,29 @@ let sample_requests =
     Api.Batch [ Api.Stats; Api.Shutdown ];
     Api.Stats;
     Api.Shutdown;
+    Api.Run
+      {
+        source = Api.Text { name = "we\"ird\tname.zap"; text = "a\\b\001\r\n" };
+        opts =
+          {
+            Api.default_compile_opts with
+            Api.plan = Api.Ilp;
+            dump_plan = true;
+          };
+        target = { Api.machine = "t3e"; procs = 1 };
+        spmd = false;
+        native = true;
+      };
+    Api.Batch
+      [
+        Api.Plan
+          {
+            source = Api.Bench { name = "frac"; tile = Some 16 };
+            opts = { Api.default_compile_opts with Api.level = "baseline" };
+            target = Api.default_target;
+          };
+        Api.Batch [];
+      ];
   ]
 
 let sample_provenance =
@@ -271,6 +294,58 @@ let sample_provenance =
               greedy_ns = 1234.5;
               best_ns = 1000.25;
               improved = true;
+            };
+        };
+      ];
+  }
+
+(* the ILP extension: the three ILP fields appear together, with a
+   missing certificate rendered as null *)
+let sample_ilp_provenance =
+  {
+    sample_provenance with
+    Plan.Driver.strategy = "greedy";
+    machine = "Intel Paragon";
+    procs = 4;
+    ilp_total_ns = Some 1400.125;
+    chosen_total_ns = 1234.5;
+    fallback = true;
+    proved_optimal = Some false;
+    certified_lb_ns = None;
+    ilp_blocks =
+      [
+        {
+          Plan.Driver.iblock = 0;
+          istats =
+            {
+              Plan.Ilp.clusters = 5;
+              complete = true;
+              nodes = 3;
+              cuts = 1;
+              pivots = 17;
+              proved = true;
+              objective_exact = false;
+              lower_bound_ns = Some 1390.0;
+              greedy_ns = 2000.0;
+              best_ns = 1400.125;
+              improved = true;
+            };
+        };
+        {
+          Plan.Driver.iblock = 1;
+          istats =
+            {
+              Plan.Ilp.clusters = 512;
+              complete = false;
+              nodes = 0;
+              cuts = 0;
+              pivots = 0;
+              proved = false;
+              objective_exact = false;
+              lower_bound_ns = None;
+              greedy_ns = 1e-3;
+              best_ns = 1e20;
+              improved = false;
             };
         };
       ];
@@ -380,6 +455,52 @@ let sample_responses =
       };
     Api.Shutting_down;
     Api.Failed (Obs.Diagnostic.error ~loc:("x.zap", 3) ~phase:"parse" "bad token");
+    Api.Planned
+      {
+        summary =
+          {
+            sample_summary with
+            Api.contracted = [];
+            merged_away = [];
+            dump_ir = None;
+            dump_plan = Some "--- block 0 ---\n";
+            emit_c = Some "int main(void) { return 0; }\n";
+          };
+        provenance = Some sample_ilp_provenance;
+      };
+    Api.Ran
+      {
+        summary = sample_summary;
+        provenance = Some sample_ilp_provenance;
+        perf = { sample_perf with Api.time_ns = 0.0; comm_ns = 1e-7 };
+        spmd = Some { sample_spmd with Api.spmd_l1_miss_pct = Some 3.0 };
+        native = Some sample_native;
+      };
+    Api.Batch_reply
+      [
+        Api.Failed
+          (Obs.Diagnostic.warning ~loc:("w.zap", 0) ~phase:"check" "odd");
+        Api.Batch_reply [];
+      ];
+    Api.Stats_reply
+      {
+        Api.requests = [];
+        cache =
+          {
+            Api.shards = 1;
+            cache_capacity = 1;
+            entries = 0;
+            hits = 0;
+            misses = 0;
+            evictions = 0;
+            insertions = 0;
+          };
+        compiles_computed = 0;
+        plans_computed = 0;
+        natives_built = 0;
+        natives_reused = 0;
+        native_runs = 0;
+      };
   ]
 
 let request_roundtrip () =
@@ -427,20 +548,519 @@ let wire_roundtrip () =
       | Error e -> Alcotest.failf "response %d failed on the wire: %s" i e)
     sample_responses
 
+(* The wire bytes of every sample, recorded from the hand-written
+   encoders the codec values replaced.  The round-trip tests above
+   compare values only: a field renamed on both sides would still pass
+   them, but not this. *)
+let golden_requests =
+  [
+    {|{"op":"compile","source":{"bench":"ep","tile":256},"opts":{"level":"c2+f4","plan":"search","config":{"n":32.0,"eps":0.125},"merge":true,"simplify":true,"dump_ir":true,"dump_c":true,"emit_c":true},"target":{"machine":"paragon","procs":16}}|};
+    {|{"op":"run","source":{"name":"x.zap","text":"program x;\n"},"opts":{"level":"c2+f3","plan":"greedy"},"target":{"machine":"t3e","procs":1},"spmd":true}|};
+    {|{"op":"plan","source":{"bench":"tomcatv"},"opts":{"level":"c2+f3","plan":"search"},"target":{"machine":"sp2","procs":4}}|};
+    {|{"op":"batch","requests":[{"op":"stats"},{"op":"shutdown"}]}|};
+    {|{"op":"stats"}|};
+    {|{"op":"shutdown"}|};
+    {|{"op":"run","source":{"name":"we\"ird\tname.zap","text":"a\\b\u0001\r\n"},"opts":{"level":"c2+f3","plan":"ilp","dump_plan":true},"target":{"machine":"t3e","procs":1},"native":true}|};
+    {|{"op":"batch","requests":[{"op":"plan","source":{"bench":"frac","tile":16},"opts":{"level":"baseline","plan":"greedy"},"target":{"machine":"t3e","procs":1}},{"op":"batch","requests":[]}]}|};
+  ]
+
+let golden_responses =
+  [
+    {|{"ok":true,"type":"compiled","summary":{"program":"ep","level":"c2+f3","arrays_total":22,"contracted_compiler":0,"contracted_user":22,"remaining":0,"footprint_bytes":0,"contracted":[{"array":"t1","shape":"scalar"},{"array":"t2","shape":"dims:01"}],"merged_away":["u"],"fingerprint":"00112233aabbccdd","dump_ir":"ir text\n","dump_c":"c text\n"},"provenance":{"strategy":"search","machine":"Cray T3E","procs":16,"greedy_total_ns":1234.5,"search_total_ns":1000.25,"chosen_total_ns":1000.25,"fallback":false,"blocks":[{"block":0,"expanded":10,"generated":40,"pruned":7,"deduped":3,"beam_rounds":0,"greedy_ns":1234.5,"best_ns":1000.25,"improved":true}]}}|};
+    {|{"ok":true,"type":"compiled","summary":{"program":"ep","level":"c2+f3","arrays_total":22,"contracted_compiler":0,"contracted_user":22,"remaining":0,"footprint_bytes":0,"contracted":[{"array":"t1","shape":"scalar"},{"array":"t2","shape":"dims:01"}],"merged_away":["u"],"fingerprint":"00112233aabbccdd","dump_ir":"ir text\n","dump_c":"c text\n"}}|};
+    {|{"ok":true,"type":"ran","summary":{"program":"ep","level":"c2+f3","arrays_total":22,"contracted_compiler":0,"contracted_user":22,"remaining":0,"footprint_bytes":0,"contracted":[{"array":"t1","shape":"scalar"},{"array":"t2","shape":"dims:01"}],"merged_away":["u"],"fingerprint":"00112233aabbccdd","dump_ir":"ir text\n","dump_c":"c text\n"},"perf":{"machine":"Cray T3E","procs":4,"time_ns":487000.5,"comp_ns":487000.25,"comm_ns":0.25,"flops":221184,"loads":17,"stores":3,"l1_miss_pct":21.34,"l2_miss_pct":1.5,"messages":12,"msg_bytes":4096,"checksum":"308149a4cb0e1adc"},"spmd":{"time_ns":4440000.0,"supersteps":13,"matches_model":true,"charged_messages":4,"charged_bytes":128,"wire_messages":4,"wire_bytes":128,"ghost_fills":2,"unmodeled_exchanges":0,"reduction_messages":1,"checksum":"308149a4cb0e1adc","report":{"supersteps":13}}}|};
+    {|{"ok":true,"type":"ran","summary":{"program":"ep","level":"c2+f3","arrays_total":22,"contracted_compiler":0,"contracted_user":22,"remaining":0,"footprint_bytes":0,"contracted":[{"array":"t1","shape":"scalar"},{"array":"t2","shape":"dims:01"}],"merged_away":["u"],"fingerprint":"00112233aabbccdd","dump_ir":"ir text\n","dump_c":"c text\n"},"provenance":{"strategy":"search","machine":"Cray T3E","procs":16,"greedy_total_ns":1234.5,"search_total_ns":1000.25,"chosen_total_ns":1000.25,"fallback":false,"blocks":[{"block":0,"expanded":10,"generated":40,"pruned":7,"deduped":3,"beam_rounds":0,"greedy_ns":1234.5,"best_ns":1000.25,"improved":true}]},"perf":{"machine":"Cray T3E","procs":4,"time_ns":487000.5,"comp_ns":487000.25,"comm_ns":0.25,"flops":221184,"loads":17,"stores":3,"l1_miss_pct":21.34,"messages":12,"msg_bytes":4096,"checksum":"308149a4cb0e1adc"},"native":{"checksum":"308149a4cb0e1adc","wall_ns":57049,"compiler":"cc (Debian 12.2.0) 12.2.0","units":13,"matches":true}}|};
+    {|{"ok":true,"type":"planned","summary":{"program":"ep","level":"c2+f3","arrays_total":22,"contracted_compiler":0,"contracted_user":22,"remaining":0,"footprint_bytes":0,"contracted":[{"array":"t1","shape":"scalar"},{"array":"t2","shape":"dims:01"}],"merged_away":["u"],"fingerprint":"00112233aabbccdd","dump_ir":"ir text\n","dump_c":"c text\n"},"provenance":{"strategy":"search","machine":"Cray T3E","procs":16,"greedy_total_ns":1234.5,"search_total_ns":1000.25,"chosen_total_ns":1000.25,"fallback":false,"blocks":[{"block":0,"expanded":10,"generated":40,"pruned":7,"deduped":3,"beam_rounds":0,"greedy_ns":1234.5,"best_ns":1000.25,"improved":true}]}}|};
+    {|{"ok":true,"type":"batch","responses":[{"ok":true,"type":"shutting-down"},{"ok":false,"error":{"severity":"error","phase":"cli","message":"boom"}}]}|};
+    {|{"ok":true,"type":"stats","stats":{"requests":{"service.request.compile":3},"cache":{"shards":8,"capacity":256,"entries":2,"hits":1,"misses":2,"evictions":0,"insertions":2},"compiles_computed":2,"plans_computed":1,"native":{"built":1,"reused":3,"runs":4}}}|};
+    {|{"ok":true,"type":"shutting-down"}|};
+    {|{"ok":false,"error":{"severity":"error","phase":"parse","file":"x.zap","line":3,"message":"bad token"}}|};
+    {|{"ok":true,"type":"planned","summary":{"program":"ep","level":"c2+f3","arrays_total":22,"contracted_compiler":0,"contracted_user":22,"remaining":0,"footprint_bytes":0,"contracted":[],"merged_away":[],"fingerprint":"00112233aabbccdd","dump_plan":"--- block 0 ---\n","dump_c":"c text\n","emit_c":"int main(void) { return 0; }\n"},"provenance":{"strategy":"greedy","machine":"Intel Paragon","procs":4,"greedy_total_ns":1234.5,"search_total_ns":1000.25,"chosen_total_ns":1234.5,"fallback":true,"ilp_total_ns":1400.125,"proved_optimal":false,"certified_lb_ns":null,"blocks":[{"block":0,"expanded":10,"generated":40,"pruned":7,"deduped":3,"beam_rounds":0,"greedy_ns":1234.5,"best_ns":1000.25,"improved":true}],"ilp_blocks":[{"block":0,"clusters":5,"complete":true,"nodes":3,"cuts":1,"pivots":17,"proved":true,"objective_exact":false,"lower_bound_ns":1390.0,"greedy_ns":2000.0,"best_ns":1400.125,"improved":true},{"block":1,"clusters":512,"complete":false,"nodes":0,"cuts":0,"pivots":0,"proved":false,"objective_exact":false,"lower_bound_ns":null,"greedy_ns":0.001,"best_ns":1e+20,"improved":false}]}}|};
+    {|{"ok":true,"type":"ran","summary":{"program":"ep","level":"c2+f3","arrays_total":22,"contracted_compiler":0,"contracted_user":22,"remaining":0,"footprint_bytes":0,"contracted":[{"array":"t1","shape":"scalar"},{"array":"t2","shape":"dims:01"}],"merged_away":["u"],"fingerprint":"00112233aabbccdd","dump_ir":"ir text\n","dump_c":"c text\n"},"provenance":{"strategy":"greedy","machine":"Intel Paragon","procs":4,"greedy_total_ns":1234.5,"search_total_ns":1000.25,"chosen_total_ns":1234.5,"fallback":true,"ilp_total_ns":1400.125,"proved_optimal":false,"certified_lb_ns":null,"blocks":[{"block":0,"expanded":10,"generated":40,"pruned":7,"deduped":3,"beam_rounds":0,"greedy_ns":1234.5,"best_ns":1000.25,"improved":true}],"ilp_blocks":[{"block":0,"clusters":5,"complete":true,"nodes":3,"cuts":1,"pivots":17,"proved":true,"objective_exact":false,"lower_bound_ns":1390.0,"greedy_ns":2000.0,"best_ns":1400.125,"improved":true},{"block":1,"clusters":512,"complete":false,"nodes":0,"cuts":0,"pivots":0,"proved":false,"objective_exact":false,"lower_bound_ns":null,"greedy_ns":0.001,"best_ns":1e+20,"improved":false}]},"perf":{"machine":"Cray T3E","procs":4,"time_ns":0.0,"comp_ns":487000.25,"comm_ns":1e-07,"flops":221184,"loads":17,"stores":3,"l1_miss_pct":21.34,"l2_miss_pct":1.5,"messages":12,"msg_bytes":4096,"checksum":"308149a4cb0e1adc"},"spmd":{"time_ns":4440000.0,"supersteps":13,"matches_model":true,"charged_messages":4,"charged_bytes":128,"wire_messages":4,"wire_bytes":128,"ghost_fills":2,"unmodeled_exchanges":0,"reduction_messages":1,"l1_miss_pct":3.0,"checksum":"308149a4cb0e1adc","report":{"supersteps":13}},"native":{"checksum":"308149a4cb0e1adc","wall_ns":57049,"compiler":"cc (Debian 12.2.0) 12.2.0","units":13,"matches":true}}|};
+    {|{"ok":true,"type":"batch","responses":[{"ok":false,"error":{"severity":"warning","phase":"check","file":"w.zap","line":0,"message":"odd"}},{"ok":true,"type":"batch","responses":[]}]}|};
+    {|{"ok":true,"type":"stats","stats":{"requests":{},"cache":{"shards":1,"capacity":1,"entries":0,"hits":0,"misses":0,"evictions":0,"insertions":0},"compiles_computed":0,"plans_computed":0,"native":{"built":0,"reused":0,"runs":0}}}|};
+  ]
+
+let wire_golden () =
+  let check what encode samples golden =
+    Alcotest.(check int) (what ^ " count") (List.length golden)
+      (List.length samples);
+    List.iteri
+      (fun i (sample, bytes) ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s %d bytes" what i)
+          bytes
+          (Obs.Json.to_string (encode sample)))
+      (List.combine samples golden)
+  in
+  check "request" Api.request_to_json sample_requests golden_requests;
+  check "response" Api.response_to_json sample_responses golden_responses
+
 let request_rejects_bad_input () =
+  (* each line with the exact reply bytes the daemon sends for it *)
   List.iter
-    (fun line ->
+    (fun (line, reply) ->
       match Api.request_of_line line with
-      | Error _ -> ()
+      | Error msg ->
+          Alcotest.(check string)
+            (Printf.sprintf "reply to %S" line)
+            reply
+            (Obs.Json.to_string
+               (Api.response_to_json
+                  (Api.Failed (Obs.Diagnostic.error ~phase:"protocol" msg))))
       | Ok _ -> Alcotest.failf "accepted bad request line %S" line)
     [
-      "not json";
-      "{}";
-      {|{"op":"frobnicate"}|};
-      {|{"op":"compile"}|};
-      {|{"op":"compile","source":{"bench":"ep"},"v":999}|};
-      {|{"op":"compile","source":{"bench":"ep"},"opts":{"plan":"mystic"}}|};
+      ( {|not json|},
+        {|{"ok":false,"error":{"severity":"error","phase":"protocol","message":"bad request line: bad literal at 0"}}|} );
+      ( {|{}|},
+        {|{"ok":false,"error":{"severity":"error","phase":"protocol","message":"missing field \"op\""}}|} );
+      ( {|{"op":"frobnicate"}|},
+        {|{"ok":false,"error":{"severity":"error","phase":"protocol","message":"unknown op \"frobnicate\""}}|} );
+      ( {|{"op":"compile"}|},
+        {|{"ok":false,"error":{"severity":"error","phase":"protocol","message":"missing field \"source\""}}|} );
+      ( {|{"op":"compile","source":{"bench":"ep"},"v":999}|},
+        {|{"ok":false,"error":{"severity":"error","phase":"protocol","message":"protocol version 999 not supported (this is 1)"}}|} );
+      ( {|{"op":"compile","source":{"bench":"ep"},"opts":{"plan":"mystic"}}|},
+        {|{"ok":false,"error":{"severity":"error","phase":"protocol","message":"unknown plan mode \"mystic\""}}|} );
+      ( {|{"op":"stats","x":"\uZZZZ"}|},
+        {|{"ok":false,"error":{"severity":"error","phase":"protocol","message":"bad request line: bad \\u escape at 21"}}|} );
+      ( {|{"op":"compile","source":{"bench":"ep"},"target":5}|},
+        {|{"ok":false,"error":{"severity":"error","phase":"protocol","message":"expected an object"}}|} );
+      ( {|{"op":"compile","source":{"bench":"ep"},"opts":5}|},
+        {|{"ok":false,"error":{"severity":"error","phase":"protocol","message":"expected an object"}}|} );
+      ( {|{"op":"compile","source":{"bench":"ep","tile":1e300}}|},
+        {|{"ok":false,"error":{"severity":"error","phase":"protocol","message":"expected an integer"}}|} );
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Codec properties                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Generators for every wire type.  Floats are finite (JSON has no
+   other numbers), and provenance keeps the invariant compile_ilp
+   establishes: the three ILP fields are set together. *)
+module Wire_gen = struct
+  open QCheck.Gen
+
+  let str = string_size (0 -- 6)
+  let small g = list_size (0 -- 3) g
+
+  let num =
+    oneof
+      [
+        map float_of_int small_signed_int;
+        float_range (-1e6) 1e6;
+        oneofl [ -0.0; 1e-7; 1e20; 0.1 ];
+      ]
+
+  let rec json depth =
+    let leaf =
+      oneof
+        [
+          return Obs.Json.Null;
+          map (fun b -> Obs.Json.Bool b) bool;
+          map (fun i -> Obs.Json.Int i) int;
+          map (fun f -> Obs.Json.Float f) num;
+          map (fun s -> Obs.Json.String s) str;
+        ]
+    in
+    if depth = 0 then leaf
+    else
+      frequency
+        [
+          (2, leaf);
+          (1, map (fun l -> Obs.Json.List l) (small (json (depth - 1))));
+          ( 1,
+            map
+              (fun kvs -> Obs.Json.Obj kvs)
+              (small (pair str (json (depth - 1)))) );
+        ]
+
+  let source =
+    oneof
+      [
+        (let+ name = str and+ tile = opt int in
+         Api.Bench { name; tile });
+        (let+ name = str and+ text = str in
+         Api.Text { name; text });
+      ]
+
+  let opts =
+    let+ level = str
+    and+ plan = oneofl [ Api.Greedy; Api.Search; Api.Ilp ]
+    and+ config = small (pair str num)
+    and+ merge = bool
+    and+ simplify = bool
+    and+ dump_ir = bool
+    and+ dump_plan = bool
+    and+ dump_c = bool
+    and+ emit_c = bool in
+    {
+      Api.level;
+      plan;
+      config;
+      merge;
+      simplify;
+      dump_ir;
+      dump_plan;
+      dump_c;
+      emit_c;
+    }
+
+  let target =
+    let+ machine = str and+ procs = int in
+    { Api.machine; procs }
+
+  let rec request depth =
+    let job = triple source opts target in
+    frequency
+      ([
+         ( 2,
+           let+ source, opts, target = job in
+           Api.Compile { source; opts; target } );
+         ( 2,
+           let+ source, opts, target = job in
+           Api.Plan { source; opts; target } );
+         ( 2,
+           let+ source, opts, target = job
+           and+ spmd = bool
+           and+ native = bool in
+           Api.Run { source; opts; target; spmd; native } );
+         (1, oneofl [ Api.Stats; Api.Shutdown ]);
+       ]
+      @
+      if depth = 0 then []
+      else [ (1, map (fun rs -> Api.Batch rs) (small (request (depth - 1)))) ])
+
+  let summary =
+    let+ program = str
+    and+ level = str
+    and+ arrays_total = int
+    and+ contracted_compiler = int
+    and+ contracted_user = int
+    and+ remaining = int
+    and+ footprint_bytes = int
+    and+ contracted = small (pair str str)
+    and+ merged_away = small str
+    and+ fingerprint = str
+    and+ dump_ir = opt str
+    and+ dump_plan = opt str
+    and+ dump_c = opt str
+    and+ emit_c = opt str in
+    {
+      Api.program;
+      level;
+      arrays_total;
+      contracted_compiler;
+      contracted_user;
+      remaining;
+      footprint_bytes;
+      contracted;
+      merged_away;
+      fingerprint;
+      dump_ir;
+      dump_plan;
+      dump_c;
+      emit_c;
+    }
+
+  let provenance =
+    let search_block =
+      let+ block = int
+      and+ expanded = int
+      and+ generated = int
+      and+ pruned = int
+      and+ deduped = int
+      and+ beam_rounds = int
+      and+ greedy_ns = num
+      and+ best_ns = num
+      and+ improved = bool in
+      {
+        Plan.Driver.block;
+        stats =
+          {
+            Plan.Search.expanded;
+            generated;
+            pruned;
+            deduped;
+            beam_rounds;
+            greedy_ns;
+            best_ns;
+            improved;
+          };
+      }
+    in
+    let ilp_block =
+      let+ iblock = int
+      and+ clusters = int
+      and+ complete = bool
+      and+ nodes = int
+      and+ cuts = int
+      and+ pivots = int
+      and+ proved = bool
+      and+ objective_exact = bool
+      and+ lower_bound_ns = opt num
+      and+ greedy_ns = num
+      and+ best_ns = num
+      and+ improved = bool in
+      {
+        Plan.Driver.iblock;
+        istats =
+          {
+            Plan.Ilp.clusters;
+            complete;
+            nodes;
+            cuts;
+            pivots;
+            proved;
+            objective_exact;
+            lower_bound_ns;
+            greedy_ns;
+            best_ns;
+            improved;
+          };
+      }
+    in
+    let+ strategy = str
+    and+ machine = str
+    and+ procs = int
+    and+ greedy_total_ns = num
+    and+ search_total_ns = num
+    and+ chosen_total_ns = num
+    and+ fallback = bool
+    and+ ilp = opt (triple num (opt bool) (opt num))
+    and+ blocks = small search_block
+    and+ ilp_blocks = small ilp_block in
+    let ilp_total_ns, proved_optimal, certified_lb_ns =
+      match ilp with
+      | None -> (None, None, None)
+      | Some (total, proved, lb) -> (Some total, proved, lb)
+    in
+    {
+      Plan.Driver.strategy;
+      machine;
+      procs;
+      greedy_total_ns;
+      search_total_ns;
+      ilp_total_ns;
+      chosen_total_ns;
+      fallback;
+      proved_optimal;
+      certified_lb_ns;
+      blocks;
+      ilp_blocks;
+    }
+
+  let perf =
+    let+ machine = str
+    and+ procs = int
+    and+ time_ns = num
+    and+ comp_ns = num
+    and+ comm_ns = num
+    and+ flops = int
+    and+ loads = int
+    and+ stores = int
+    and+ l1_miss_pct = num
+    and+ l2_miss_pct = opt num
+    and+ messages = int
+    and+ msg_bytes = int
+    and+ checksum = str in
+    {
+      Api.machine;
+      procs;
+      time_ns;
+      comp_ns;
+      comm_ns;
+      flops;
+      loads;
+      stores;
+      l1_miss_pct;
+      l2_miss_pct;
+      messages;
+      msg_bytes;
+      checksum;
+    }
+
+  let spmd =
+    let+ spmd_time_ns = num
+    and+ supersteps = int
+    and+ matches_model = bool
+    and+ charged_messages = int
+    and+ charged_bytes = int
+    and+ wire_messages = int
+    and+ wire_bytes = int
+    and+ ghost_fills = int
+    and+ unmodeled_exchanges = int
+    and+ reduction_messages = int
+    and+ spmd_l1_miss_pct = opt num
+    and+ spmd_checksum = str
+    and+ report = json 2 in
+    {
+      Api.spmd_time_ns;
+      supersteps;
+      matches_model;
+      charged_messages;
+      charged_bytes;
+      wire_messages;
+      wire_bytes;
+      ghost_fills;
+      unmodeled_exchanges;
+      reduction_messages;
+      spmd_l1_miss_pct;
+      spmd_checksum;
+      report;
+    }
+
+  let native =
+    let+ native_checksum = str
+    and+ wall = int
+    and+ native_compiler = str
+    and+ native_units = int
+    and+ native_matches = bool in
+    {
+      Api.native_checksum;
+      native_wall_ns = Int64.of_int wall;
+      native_compiler;
+      native_units;
+      native_matches;
+    }
+
+  let stats =
+    let+ requests = small (pair str int)
+    and+ shards = int
+    and+ cache_capacity = int
+    and+ entries = int
+    and+ hits = int
+    and+ misses = int
+    and+ evictions = int
+    and+ insertions = int
+    and+ compiles_computed = int
+    and+ plans_computed = int
+    and+ natives_built = int
+    and+ natives_reused = int
+    and+ native_runs = int in
+    {
+      Api.requests;
+      cache =
+        {
+          Api.shards;
+          cache_capacity;
+          entries;
+          hits;
+          misses;
+          evictions;
+          insertions;
+        };
+      compiles_computed;
+      plans_computed;
+      natives_built;
+      natives_reused;
+      native_runs;
+    }
+
+  let diag =
+    let+ error = bool
+    and+ phase = str
+    and+ loc = opt (pair str int)
+    and+ message = str in
+    (if error then Obs.Diagnostic.error else Obs.Diagnostic.warning)
+      ?loc ~phase message
+
+  let rec response depth =
+    let compiled = pair summary (opt provenance) in
+    frequency
+      ([
+         ( 2,
+           map
+             (fun (summary, provenance) -> Api.Compiled { summary; provenance })
+             compiled );
+         ( 2,
+           map
+             (fun (summary, provenance) -> Api.Planned { summary; provenance })
+             compiled );
+         ( 2,
+           let+ summary, provenance = compiled
+           and+ perf = perf
+           and+ spmd = opt spmd
+           and+ native = opt native in
+           Api.Ran { summary; provenance; perf; spmd; native } );
+         (1, map (fun s -> Api.Stats_reply s) stats);
+         (1, return Api.Shutting_down);
+         (1, map (fun d -> Api.Failed d) diag);
+       ]
+      @
+      if depth = 0 then []
+      else
+        [
+          (1, map (fun rs -> Api.Batch_reply rs) (small (response (depth - 1))));
+        ])
+
+  let request_line =
+    map (fun r -> Obs.Json.to_string (Api.request_to_json r)) (request 2)
+
+  let response_line =
+    map (fun r -> Obs.Json.to_string (Api.response_to_json r)) (response 2)
+
+  (* a valid line, truncated, with bytes overwritten, or spliced onto
+     the tail of another *)
+  let mutated_line =
+    let* l = oneof [ request_line; response_line ]
+    and* m = oneof [ request_line; response_line ] in
+    let n = String.length l in
+    oneof
+      [
+        map (fun k -> String.sub l 0 k) (0 -- n);
+        map
+          (fun edits ->
+            let b = Bytes.of_string l in
+            List.iter (fun (i, c) -> if i < n then Bytes.set b i c) edits;
+            Bytes.to_string b)
+          (list_size (1 -- 4) (pair (0 -- n) char));
+        map2
+          (fun i j ->
+            String.sub l 0 i ^ String.sub m j (String.length m - j))
+          (0 -- n)
+          (0 -- String.length m);
+      ]
+end
+
+let prop_request_roundtrip =
+  QCheck.Test.make ~name:"generated requests round-trip" ~count:300
+    (QCheck.make (Wire_gen.request 2) ~print:(fun r ->
+         Obs.Json.to_string (Api.request_to_json r)))
+    (fun r ->
+      let j = Api.request_to_json r in
+      Api.request_of_json j = Ok r
+      && Api.request_of_line (Obs.Json.to_string j) = Ok r)
+
+let prop_response_roundtrip =
+  QCheck.Test.make ~name:"generated responses round-trip" ~count:300
+    (QCheck.make (Wire_gen.response 2) ~print:(fun r ->
+         Obs.Json.to_string (Api.response_to_json r)))
+    (fun r ->
+      let j = Api.response_to_json r in
+      Api.response_of_json j = Ok r
+      && Result.bind (Obs.Json.of_string (Obs.Json.to_string j))
+           Api.response_of_json
+         = Ok r)
+
+(* each decoder returns, whatever the bytes *)
+let decoders_return line =
+  ignore (Api.request_of_line line);
+  (match Obs.Json.of_string line with
+  | Ok j -> ignore (Api.response_of_json j)
+  | Error _ -> ());
+  true
+
+let prop_arbitrary_bytes =
+  QCheck.Test.make ~name:"decoders never raise on arbitrary bytes" ~count:1000
+    QCheck.(string_gen QCheck.Gen.char)
+    decoders_return
+
+let prop_mutated_lines =
+  QCheck.Test.make ~name:"decoders never raise on mutated lines" ~count:1000
+    (QCheck.make Wire_gen.mutated_line ~print:(Printf.sprintf "%S"))
+    decoders_return
 
 (* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
@@ -572,13 +1192,12 @@ let engine_mirrors_obs () =
 (* Server / client over a real socket                                  *)
 (* ------------------------------------------------------------------ *)
 
-let with_server f =
+let with_server ?(engine = Engine.create ~jobs:1 ()) f =
   let socket =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "zapd-test-%d-%d.sock" (Unix.getpid ()) (Random.int 10000))
   in
-  let engine = Engine.create ~jobs:1 () in
   let ready = Atomic.make false in
   let server =
     Domain.spawn (fun () ->
@@ -618,24 +1237,50 @@ let socket_smoke () =
       | Ok _ -> Alcotest.fail "expected a stats reply"
       | Error d -> Alcotest.failf "stats: %s" (Obs.Diagnostic.to_string d))
 
+(* service.protocol.error counted since the last call *)
+let protocol_errors_since engine =
+  let r = Obs.create () in
+  Obs.run r (fun () -> Engine.sync_obs engine);
+  Option.value ~default:0
+    (List.assoc_opt Metrics.protocol_error (Obs.report r).Obs.counters)
+
 let socket_protocol_error () =
-  with_server (fun socket ->
-      (* raw connection so we can send a malformed line *)
+  let engine = Engine.create ~jobs:1 () in
+  with_server ~engine (fun socket ->
+      (* raw connection so we can send malformed lines *)
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Unix.connect fd (Unix.ADDR_UNIX socket);
+      (* a dead daemon fails the test instead of hanging it *)
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 60.0;
       let oc = Unix.out_channel_of_descr fd in
       let ic = Unix.in_channel_of_descr fd in
-      output_string oc "this is not json\n";
-      flush oc;
-      let line = input_line ic in
+      let exchange line =
+        output_string oc (line ^ "\n");
+        flush oc;
+        let reply = input_line ic in
+        match Result.bind (Obs.Json.of_string reply) Api.response_of_json with
+        | Ok resp -> resp
+        | Error e -> Alcotest.failf "unparseable reply %S: %s" reply e
+      in
+      ignore (protocol_errors_since engine);
+      List.iter
+        (fun bad ->
+          (match exchange bad with
+          | Api.Failed d ->
+              Alcotest.(check string)
+                "protocol phase" "protocol" d.Obs.Diagnostic.phase
+          | _ -> Alcotest.failf "expected a Failed reply to %S" bad);
+          (* the same daemon and connection still answer *)
+          (match exchange {|{"op":"stats"}|} with
+          | Api.Stats_reply _ -> ()
+          | _ -> Alcotest.failf "expected a stats reply after %S" bad);
+          Alcotest.(check int)
+            (Printf.sprintf "one protocol error counted for %S" bad)
+            1
+            (protocol_errors_since engine))
+        [ "this is not json"; {|{"op":"stats","x":"\uZZZZ"}|} ];
       Unix.close fd;
-      (match Result.bind (Obs.Json.of_string line) Api.response_of_json with
-      | Ok (Api.Failed d) ->
-          Alcotest.(check string)
-            "protocol phase" "protocol" d.Obs.Diagnostic.phase
-      | Ok _ -> Alcotest.fail "expected a Failed response"
-      | Error e -> Alcotest.failf "unparseable error reply: %s" e);
-      (* the connection error did not kill the daemon *)
+      (* and so does a new connection *)
       match Service.Client.roundtrip ~socket Api.Stats with
       | Ok (Api.Stats_reply _) -> ()
       | Ok _ -> Alcotest.fail "expected a stats reply"
@@ -666,7 +1311,12 @@ let suites =
         Alcotest.test_case "request round-trip" `Quick request_roundtrip;
         Alcotest.test_case "response round-trip" `Quick response_roundtrip;
         Alcotest.test_case "wire round-trip" `Quick wire_roundtrip;
+        Alcotest.test_case "wire bytes golden" `Quick wire_golden;
         Alcotest.test_case "bad input rejected" `Quick request_rejects_bad_input;
+        QCheck_alcotest.to_alcotest prop_request_roundtrip;
+        QCheck_alcotest.to_alcotest prop_response_roundtrip;
+        QCheck_alcotest.to_alcotest prop_arbitrary_bytes;
+        QCheck_alcotest.to_alcotest prop_mutated_lines;
       ] );
     ( "service-engine",
       [

@@ -1,8 +1,9 @@
 #!/bin/sh
-# zapd CI smoke: start the daemon, replay a tiny suite twice through
-# zapc --connect, assert the second pass is served from the plan cache
-# (>= 90% hits, zero planner searches) with byte-identical responses,
-# then shut down cleanly.
+# zapd CI smoke: start the daemon, check that hostile request lines get
+# error replies without taking it down, replay a tiny suite twice
+# through zapc --connect, assert the second pass is served from the
+# plan cache (>= 90% hits, zero planner searches) with byte-identical
+# responses, then shut down cleanly.
 set -eu
 
 ZAPD=${ZAPD:-_build/default/bin/zapd.exe}
@@ -28,6 +29,28 @@ while [ ! -S "$SOCK" ]; do
   fi
   sleep 0.1
 done
+
+# hostile lines first: each must get an "ok":false reply on the same
+# connection, and the daemon must keep serving
+python3 - "$SOCK" <<'EOF'
+import json, socket, sys
+bad = [
+    '{"op":"stats","x":"\\uZZZZ"}',
+    'this is not json',
+    '{"op":"compile","source":{"bench":',
+]
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.connect(sys.argv[1])
+f = s.makefile("rw")
+for line in bad:
+    f.write(line + "\n")
+    f.flush()
+    reply = json.loads(f.readline())
+    assert reply["ok"] is False, (line, reply)
+    print(f"hostile line {line!r}: {reply['error']['message']}")
+s.close()
+EOF
+"$ZAPC" --server-stats --connect "$SOCK" > /dev/null
 
 # tiny per-processor tiles, greedy and search-planned per benchmark
 pass() {
