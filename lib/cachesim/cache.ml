@@ -23,6 +23,7 @@ type stats = {
 type t = {
   cfg : config;
   sets : int;
+  set_mask : int;  (** [sets - 1] when [sets] is a power of two, else -1 *)
   line_shift : int;
   tags : int array;  (** sets*assoc entries; -1 = invalid *)
   ages : int array;  (** LRU stamps *)
@@ -40,6 +41,7 @@ let create cfg =
   {
     cfg;
     sets;
+    set_mask = (if is_pow2 sets then sets - 1 else -1);
     line_shift = log2 cfg.line_bytes;
     tags = Array.make (sets * cfg.assoc) (-1);
     ages = Array.make (sets * cfg.assoc) 0;
@@ -50,29 +52,32 @@ let create cfg =
 
 let access t ~addr =
   let line = addr lsr t.line_shift in
-  let set = line mod t.sets in
-  let base = set * t.cfg.assoc in
+  let set = if t.set_mask >= 0 then line land t.set_mask else line mod t.sets in
+  let assoc = t.cfg.assoc in
+  let base = set * assoc in
   t.accesses <- t.accesses + 1;
   t.clock <- t.clock + 1;
-  let rec find i =
-    if i >= t.cfg.assoc then None
-    else if t.tags.(base + i) = line then Some i
-    else find (i + 1)
-  in
-  match find 0 with
-  | Some i ->
-      t.hits <- t.hits + 1;
-      t.ages.(base + i) <- t.clock;
-      true
-  | None ->
-      (* evict the LRU way *)
-      let victim = ref 0 in
-      for i = 1 to t.cfg.assoc - 1 do
-        if t.ages.(base + i) < t.ages.(base + !victim) then victim := i
-      done;
-      t.tags.(base + !victim) <- line;
-      t.ages.(base + !victim) <- t.clock;
-      false
+  (* the way holding [line], or -1 *)
+  let way = ref (-1) and i = ref 0 in
+  while !way < 0 && !i < assoc do
+    if t.tags.(base + !i) = line then way := !i;
+    incr i
+  done;
+  if !way >= 0 then begin
+    t.hits <- t.hits + 1;
+    t.ages.(base + !way) <- t.clock;
+    true
+  end
+  else begin
+    (* evict the LRU way *)
+    let victim = ref 0 in
+    for i = 1 to assoc - 1 do
+      if t.ages.(base + i) < t.ages.(base + !victim) then victim := i
+    done;
+    t.tags.(base + !victim) <- line;
+    t.ages.(base + !victim) <- t.clock;
+    false
+  end
 
 let stats t =
   { accesses = t.accesses; hits = t.hits; misses = t.accesses - t.hits }

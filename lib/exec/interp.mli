@@ -10,7 +10,28 @@
     Array elements are modelled as 8-byte doubles laid out row-major;
     each allocation gets a disjoint base address.  Out-of-bounds
     subscripts raise — the interpreter doubles as a scalarizer
-    validator. *)
+    validator.
+
+    {b Lower, then run.}  [run] first lowers the program once: every
+    scalar name (declared scalars, contraction temporaries, loop
+    variables) becomes a slot in a [float array], and every array
+    reference becomes a rank-specialised closure over the array's
+    data, bounds and strides that computes the flat index, checking
+    each dimension in order.  Expressions become [unit -> float]
+    closures and statements [unit -> unit] closures; the trace hook
+    is compiled in only when [trace] is given.  The second stage calls
+    the closures.
+
+    {b Deferred errors.}  Lowering never raises.  A reference that
+    cannot succeed (an undefined scalar, a contracted or undeclared
+    array, a rank mismatch) lowers to a closure that raises the same
+    [Runtime_error] when it executes, in the same order as a direct
+    walk of the tree: a [Load] looks up its array, then its subscripts
+    left to right, then checks the rank, then the bounds of each
+    dimension; a [Store] first evaluates its right-hand side.  Code has
+    no branches and loops have constant bounds, so whether a scalar is
+    defined is decided statically, and a reference inside a loop that
+    runs zero times never raises. *)
 
 type counters = {
   mutable loads : int;  (** array element reads *)

@@ -220,12 +220,26 @@ module Naive = struct
     end
 end
 
+(* Random streams over random direct-mapped, 2-way, 4-way and fully
+   associative geometries, with power-of-two and other set counts:
+   every hit/miss and the final stats agree. *)
 let prop_cache_matches_naive =
+  let geometry =
+    QCheck.Gen.(
+      let* line = oneofl [ 8; 16; 32; 64 ] in
+      let* sets = oneofl [ 1; 2; 3; 4; 6; 8 ] in
+      let* assoc, sets =
+        oneofl [ (1, sets); (2, sets); (4, sets); (sets * 4, 1) ]
+      in
+      return (line * sets * assoc, line, assoc))
+  in
+  let print (size, line, assoc) =
+    Printf.sprintf "%dB/%dB/%d-way" size line assoc
+  in
   QCheck.Test.make ~name:"cache simulator == naive LRU reference" ~count:300
     QCheck.(
-      pair
-        (oneofl [ (256, 32, 1); (512, 32, 2); (1024, 64, 4) ])
-        (list_of_size Gen.(int_range 1 300) (int_range 0 8192)))
+      pair (make ~print geometry)
+        (list_of_size Gen.(int_range 1 400) (int_range 0 4096)))
     (fun ((size, line, assoc), addrs) ->
       let fast =
         Cachesim.Cache.create
@@ -234,7 +248,11 @@ let prop_cache_matches_naive =
       let slow = Naive.create ~size ~line ~assoc in
       List.for_all
         (fun a -> Cachesim.Cache.access fast ~addr:a = Naive.access slow a)
-        addrs)
+        addrs
+      &&
+      let s = Cachesim.Cache.stats fast in
+      s.accesses = slow.accesses && s.hits = slow.hits
+      && s.misses = slow.accesses - slow.hits)
 
 (* --- Dist: grid factorization, split dims, neighbor directions ---- *)
 

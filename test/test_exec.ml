@@ -178,6 +178,179 @@ let test_footprint () =
   Alcotest.(check int) "bytes" (8 * 12) (Exec.Interp.footprint_bytes (hand_program ()))
 
 (* ------------------------------------------------------------------ *)
+(* Trace golden                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Every suite program at baseline and c2+f3, traced into the T3E's
+   cache hierarchy: a digest of the whole (addr, write) stream in
+   execution order, the four counters, the L1 and L2 stats and the
+   checksum.  Recorded from the name-lookup interpreter the closure
+   lowering replaced, so a reordered or dropped reference fails here. *)
+let trace_golden =
+  [
+    ("ep", "baseline", "ee44c699dbc48000", (245760, 90112, 221184, 90112), (335872, 264192, 71680), (71680, 47628, 24052), "308149a4cb0e1adc");
+    ("ep", "c2+f3", "0000000000000000", (0, 0, 221184, 0), (0, 0, 0), (0, 0, 0), "308149a4cb0e1adc");
+    ("frac", "baseline", "2838b32145152000", (1032192, 552960, 737280, 552960), (1585152, 1225728, 359424), (359424, 210408, 149016), "47f1c2dbefb05000");
+    ("frac", "c2+f3", "a771bbecf78e2000", (442368, 159744, 737280, 159744), (602112, 562176, 39936), (39936, 38400, 1536), "47f1c2dbefb05000");
+    ("tomcatv", "baseline", "9297806629b7bda8", (511488, 153044, 515556, 153044), (664532, 539006, 125526), (125526, 86760, 38766), "eda55e8c1339efca");
+    ("tomcatv", "c2+f3", "74dcc6090268c8a8", (294912, 74708, 515556, 74708), (369620, 342489, 27131), (27131, 20789, 6342), "eda55e8c1339efca");
+    ("sp", "baseline", "c396f5030513e578", (594584, 116184, 782356, 116184), (710768, 579569, 131199), (131199, 98750, 32449), "1d5105a5547c40b6");
+    ("sp", "c2+f3", "fd4736e2c417bb58", (556184, 87384, 782356, 87384), (643568, 557147, 86421), (86421, 65365, 21056), "1d5105a5547c40b6");
+    ("simple", "baseline", "adec5fc961692620", (541128, 186132, 665884, 186132), (727260, 579797, 147463), (147463, 107663, 39800), "f297d0e544e2264b");
+    ("simple", "c2+f3", "79a1b04834419280", (469128, 133332, 665884, 133332), (602460, 498839, 103621), (103621, 74803, 28818), "f297d0e544e2264b");
+    ("fibro", "baseline", "0d01dbbd0b5dd348", (721600, 236676, 959256, 236676), (958276, 754221, 204055), (204055, 138016, 66039), "251020c2951442af");
+    ("fibro", "c2+f3", "928c6e7d37c82a08", (582400, 131076, 959256, 131076), (713476, 594765, 118711), (118711, 82418, 36293), "251020c2951442af");
+    ("adi3d", "baseline", "1e8fa0e2269c9a20", (101952, 40048, 131016, 40048), (142000, 113976, 28024), (28024, 24625, 3399), "a21231b22f381aeb");
+    ("adi3d", "c2+f3", "21acae64356944a0", (84672, 22768, 131016, 22768), (107440, 94304, 13136), (13136, 12186, 950), "a21231b22f381aeb");
+  ]
+
+let test_trace_golden () =
+  let module Cache = Cachesim.Cache in
+  let stats (s : Cache.stats) = (s.accesses, s.hits, s.misses) in
+  let observe (b : Suite.bench) level =
+    let c =
+      Compilers.Driver.compile_exn_opts (Compilers.Driver.opts level)
+        (Suite.program b)
+    in
+    let m = Machine.t3e in
+    let hier = Cache.Hierarchy.create ~l1:m.Machine.l1 ?l2:m.Machine.l2 () in
+    let h = ref Support.Hash64.empty in
+    let trace ~addr ~write =
+      h := Support.Hash64.mix_int !h ((addr lsl 1) lor Bool.to_int write);
+      Cache.Hierarchy.access hier ~addr ~write
+    in
+    let r = Exec.Interp.run ~trace c.Compilers.Driver.code in
+    let k = Exec.Interp.counters r in
+    ( b.Suite.name,
+      Compilers.Driver.level_name level,
+      Support.Hash64.to_hex !h,
+      (k.loads, k.stores, k.flops, k.iters),
+      stats (Cache.Hierarchy.l1_stats hier),
+      (match Cache.Hierarchy.l2_stats hier with
+      | Some s -> stats s
+      | None -> (0, 0, 0)),
+      Exec.Interp.checksum r )
+  in
+  let got =
+    List.concat_map
+      (fun b -> List.map (observe b) Compilers.Driver.[ Baseline; C2F3 ])
+      (Suite.all @ Suite.extras)
+  in
+  let triple = Alcotest.(triple int int int) in
+  List.iter2
+    (fun (n, l, digest, (ld, st, fl, it), l1, l2, sum)
+         (n', l', digest', (ld', st', fl', it'), l1', l2', sum') ->
+      let name what = Printf.sprintf "%s @ %s %s" n l what in
+      Alcotest.(check (pair string string)) "cell" (n, l) (n', l');
+      Alcotest.(check string) (name "trace digest") digest digest';
+      Alcotest.(check (list int))
+        (name "loads/stores/flops/iters")
+        [ ld; st; fl; it ] [ ld'; st'; fl'; it' ];
+      Alcotest.check triple (name "L1") l1 l1';
+      Alcotest.check triple (name "L2") l2 l2';
+      Alcotest.(check string) (name "checksum") sum sum')
+    trace_golden got
+
+(* ------------------------------------------------------------------ *)
+(* Error semantics                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let abs off = { Code.base = ""; off }
+let rel ?(off = 0) base = { Code.base; off }
+
+let err_program body =
+  {
+    Code.name = "err";
+    allocs =
+      [
+        { Code.name = "A"; dims = [| (0, 5) |] };
+        { Code.name = "C"; dims = [| (0, 2); (1, 3) |] };
+      ];
+    scalars = [ ("k", 2.0) ];
+    body;
+    live_out = [ "A" ];
+  }
+
+let loop ?(lo = 0) ?(hi = 5) var body =
+  Code.For { var; lo; hi; step = 1; body }
+
+(* name, body, exact message, trace events emitted before the raise;
+   recorded from the name-lookup interpreter *)
+let error_cases =
+  let load x subs = Code.Sassign ("x", Code.Load (x, subs)) in
+  [
+    ("oob load", [ load "A" [| abs 9 |] ], "A: subscript 9 out of bounds [0..5] in dim 1", 0);
+    ( "oob store",
+      [ Code.Store ("A", [| abs (-1) |], Code.Const 1.0) ],
+      "A: subscript -1 out of bounds [0..5] in dim 1",
+      0 );
+    ( "oob in loop",
+      [ loop ~hi:6 "__i1" [ Code.Store ("A", [| rel "__i1" |], Code.Const 1.0) ] ],
+      "A: subscript 6 out of bounds [0..5] in dim 1",
+      6 );
+    ("oob dim 2", [ load "C" [| abs 1; abs 0 |] ], "C: subscript 0 out of bounds [1..3] in dim 2", 0);
+    ("oob first dim first", [ load "C" [| abs 3; abs 0 |] ], "C: subscript 3 out of bounds [0..2] in dim 1", 0);
+    ("rank mismatch load", [ load "A" [| abs 0; abs 0 |] ], "A: rank 2 subscript on rank 1 array", 0);
+    ( "rank mismatch store",
+      [ Code.Store ("C", [| abs 0 |], Code.Const 1.0) ],
+      "C: rank 1 subscript on rank 2 array",
+      0 );
+    ("undefined scalar in expr", [ Code.Sassign ("x", Code.Scalar "nope") ], "undefined scalar nope", 0);
+    ("undefined scalar in subscript", [ load "A" [| rel "nope" |] ], "undefined scalar nope", 0);
+    ("undefined subscript before rank", [ load "A" [| abs 0; rel "nope" |] ], "undefined scalar nope", 0);
+    ("contracted array in load", [ load "T" [| rel "nope" |] ], "undefined (or contracted) array T", 0);
+    ( "store evaluates rhs first",
+      [ Code.Store ("T", [| abs 0 |], Code.Scalar "nope") ],
+      "undefined scalar nope",
+      0 );
+    ( "contracted array in store",
+      [ Code.Store ("T", [| rel "nope" |], Code.Load ("A", [| abs 0 |])) ],
+      "undefined (or contracted) array T",
+      1 );
+    ( "self-referencing assignment",
+      [ Code.Sassign ("x", Code.Binop (Expr.Add, Code.Scalar "x", Code.Const 1.0)) ],
+      "undefined scalar x",
+      0 );
+    ( "use before definition in a loop",
+      [ loop "__i1" [ Code.Sassign ("y", Code.Scalar "x"); Code.Sassign ("x", Code.Const 1.0) ] ],
+      "undefined scalar x",
+      0 );
+  ]
+
+let test_error_messages () =
+  List.iter
+    (fun (name, body, msg, events) ->
+      let n = ref 0 in
+      match
+        Exec.Interp.run ~trace:(fun ~addr:_ ~write:_ -> incr n) (err_program body)
+      with
+      | _ -> Alcotest.failf "%s: no error" name
+      | exception Exec.Interp.Runtime_error m ->
+          Alcotest.(check string) name msg m;
+          Alcotest.(check int) (name ^ ": events before the error") events !n)
+    error_cases
+
+let test_zero_trip_defers () =
+  let bad =
+    [
+      Code.Sassign ("x", Code.Load ("T", [| rel "nope" |]));
+      Code.Sassign ("y", Code.Load ("A", [| abs 99 |]));
+      Code.Store ("C", [| abs 0 |], Code.Scalar "nope");
+    ]
+  in
+  let r = Exec.Interp.run (err_program [ loop ~lo:3 ~hi:2 "__i9" bad ]) in
+  Alcotest.(check int) "nothing ran" 0 (Exec.Interp.counters r).Exec.Interp.flops;
+  Alcotest.check_raises "loop variable of a zero-trip loop stays undefined"
+    (Exec.Interp.Runtime_error "undefined scalar __i9") (fun () ->
+      ignore (Exec.Interp.get_scalar r "__i9"));
+  Alcotest.check_raises "nor is anything its body assigns"
+    (Exec.Interp.Runtime_error "undefined scalar x") (fun () ->
+      ignore (Exec.Interp.get_scalar r "x"));
+  Alcotest.(check (float 0.0)) "declared scalar" 2.0 (Exec.Interp.get_scalar r "k");
+  let ran = Exec.Interp.run (err_program [ loop ~lo:1 ~hi:3 "__i9" [] ]) in
+  Alcotest.(check (float 0.0)) "last loop value" 3.0 (Exec.Interp.get_scalar ran "__i9")
+
+(* ------------------------------------------------------------------ *)
 (* Reference interpreter                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -264,6 +437,9 @@ let suites =
         Alcotest.test_case "descending loop" `Quick test_descending_loop;
         Alcotest.test_case "checksum sensitivity" `Quick test_checksum_sensitivity;
         Alcotest.test_case "footprint" `Quick test_footprint;
+        Alcotest.test_case "trace golden" `Quick test_trace_golden;
+        Alcotest.test_case "error messages" `Quick test_error_messages;
+        Alcotest.test_case "zero-trip loop defers errors" `Quick test_zero_trip_defers;
       ] );
     ( "exec.refinterp",
       [
