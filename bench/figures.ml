@@ -17,52 +17,41 @@ let procs_axis = [ 1; 4; 16; 64 ]
 
 let fig6 () =
   let table = Suite.Fragments.evaluate () in
-  if !json_mode then
-    List.iter
-      (fun (caps : Compilers.Vendors.caps) ->
-        List.iter
-          (fun ((frag : Suite.Fragments.t), rows) ->
-            json_row
-              Obs.Json.
-                [
-                  ("fig", String "fig6");
-                  ("compiler", String caps.Compilers.Vendors.vname);
-                  ("fragment", Int frag.Suite.Fragments.id);
-                  ("ok", Bool (List.assoc caps rows));
-                ])
-          table)
-      Compilers.Vendors.all
-  else begin
-    heading "Figure 6: observed behavior of five array language compilers";
-    Printf.printf "%-20s" "compiler";
-    List.iter (fun i -> Printf.printf " (%d)" i) [ 1; 2; 3; 4; 5; 6; 7; 8 ];
-    print_newline ();
-    List.iter
-      (fun (caps : Compilers.Vendors.caps) ->
-        Printf.printf "%-20s" caps.Compilers.Vendors.vname;
-        List.iter
-          (fun ((_ : Suite.Fragments.t), rows) ->
-            let ok = List.assoc caps rows in
-            Printf.printf "  %s " (if ok then "Y" else "."))
-          table;
-        print_newline ())
-      Compilers.Vendors.all;
-    Printf.printf
-      "\n(1)-(3) statement fusion; (4)-(5) compiler temporaries;\n\
-       (6)-(7) user temporaries; (8) compiler/user trade-off.\n\
-       'Y' = proper fused/contracted code produced.\n"
-  end
+  heading "Figure 6: observed behavior of five array language compilers";
+  row "%-20s" "compiler";
+  List.iter (fun i -> row " (%d)" i) [ 1; 2; 3; 4; 5; 6; 7; 8 ];
+  row "\n";
+  List.iter
+    (fun (caps : Compilers.Vendors.caps) ->
+      row "%-20s" caps.Compilers.Vendors.vname;
+      List.iter
+        (fun ((frag : Suite.Fragments.t), rows) ->
+          let ok = List.assoc caps rows in
+          json_row
+            Obs.Json.
+              [
+                ("fig", String "fig6");
+                ("compiler", String caps.Compilers.Vendors.vname);
+                ("fragment", Int frag.Suite.Fragments.id);
+                ("ok", Bool ok);
+              ];
+          row "  %s " (if ok then "Y" else "."))
+        table;
+      row "\n")
+    Compilers.Vendors.all;
+  row
+    "\n(1)-(3) statement fusion; (4)-(5) compiler temporaries;\n\
+     (6)-(7) user temporaries; (8) compiler/user trade-off.\n\
+     'Y' = proper fused/contracted code produced.\n"
 
 (* ------------------------------------------------------------------ *)
 (* Figure 7: static arrays contracted                                  *)
 (* ------------------------------------------------------------------ *)
 
 let fig7 () =
-  if not !json_mode then begin
-    heading "Figure 7: static arrays contracted (compiler/user)";
-    row "%-9s %22s %14s %9s %8s\n" "program" "w/o contraction (c/u)"
-      "w/ contraction" "% change" "scalar"
-  end;
+  heading "Figure 7: static arrays contracted (compiler/user)";
+  row "%-9s %22s %14s %9s %8s\n" "program" "w/o contraction (c/u)"
+    "w/ contraction" "% change" "scalar";
   (* compile/count on the pool, print in benchmark order *)
   let data =
     Support.Pool.map ~domains:!Harness.jobs
@@ -79,28 +68,26 @@ let fig7 () =
       let pct =
         100.0 *. float_of_int (left - total) /. float_of_int total
       in
-      if !json_mode then
-        json_row
-          Obs.Json.
-            [
-              ("fig", String "fig7");
-              ("bench", String b.Suite.name);
-              ("arrays_total", Int total);
-              ("arrays_compiler", Int nc);
-              ("arrays_user", Int nu);
-              ("arrays_after", Int left);
-              ("change_pct", Float pct);
-              ( "scalar_paper",
-                match b.Suite.scalar_arrays with
-                | Some k -> Int k
-                | None -> Null );
-            ]
-      else
-        row "%-9s %13d (%d/%d) %14d %8.1f%% %8s\n" b.Suite.name total nc nu
-          left pct
-          (match b.Suite.scalar_arrays with
-          | Some k -> string_of_int k
-          | None -> "na"))
+      json_row
+        Obs.Json.
+          [
+            ("fig", String "fig7");
+            ("bench", String b.Suite.name);
+            ("arrays_total", Int total);
+            ("arrays_compiler", Int nc);
+            ("arrays_user", Int nu);
+            ("arrays_after", Int left);
+            ("change_pct", Float pct);
+            ( "scalar_paper",
+              match b.Suite.scalar_arrays with
+              | Some k -> Int k
+              | None -> Null );
+          ];
+      row "%-9s %13d (%d/%d) %14d %8.1f%% %8s\n" b.Suite.name total nc nu left
+        pct
+        (match b.Suite.scalar_arrays with
+        | Some k -> string_of_int k
+        | None -> "na"))
     data
 
 (* ------------------------------------------------------------------ *)
@@ -128,11 +115,9 @@ let max_tile ~level ~bytes ~cap (b : Suite.bench) =
   end
 
 let fig8 () =
-  if not !json_mode then begin
-    heading "Figure 8: effect of contraction on maximum problem size";
-    row "%-9s %4s %4s %9s | %26s | %26s\n" "program" "lb" "la" "C-value"
-      "T3E max tile  (% / %vol)" "SP-2 max tile  (% / %vol)"
-  end;
+  heading "Figure 8: effect of contraction on maximum problem size";
+  row "%-9s %4s %4s %9s | %26s | %26s\n" "program" "lb" "la" "C-value"
+    "T3E max tile  (% / %vol)" "SP-2 max tile  (% / %vol)";
   let machines = [ Machine.t3e; Machine.sp2 ] in
   (* the max-tile binary searches dominate — run them on the pool,
      print per benchmark in suite order *)
@@ -174,39 +159,36 @@ let fig8 () =
         | Some nb, None -> Printf.sprintf "%7d ->     inf (inf)" nb
         | None, _ -> "unbounded"
       in
-      if !json_mode then
-        List.iter
-          (fun ((m : Machine.t), nb, na) ->
-            let opt = function Some n -> Obs.Json.Int n | None -> Obs.Json.Null in
-            json_row
-              Obs.Json.
-                [
-                  ("fig", String "fig8");
-                  ("bench", String b.Suite.name);
-                  ("machine", String m.Machine.name);
-                  ("arrays_baseline", Int lb);
-                  ("arrays_c2", Int la);
-                  ("c_value", Float cval);
-                  ("max_tile_baseline", opt nb);
-                  ("max_tile_c2", opt na);
-                ])
-          tiles
-      else
-        let tile_of m =
-          let _, nb, na =
-            List.find (fun (m', _, _) -> m' == (m : Machine.t)) tiles
-          in
-          (nb, na)
+      List.iter
+        (fun ((m : Machine.t), nb, na) ->
+          let opt = function Some n -> Obs.Json.Int n | None -> Obs.Json.Null in
+          json_row
+            Obs.Json.
+              [
+                ("fig", String "fig8");
+                ("bench", String b.Suite.name);
+                ("machine", String m.Machine.name);
+                ("arrays_baseline", Int lb);
+                ("arrays_c2", Int la);
+                ("c_value", Float cval);
+                ("max_tile_baseline", opt nb);
+                ("max_tile_c2", opt na);
+              ])
+        tiles;
+      let tiles_on m =
+        let _, nb, na =
+          List.find (fun (m', _, _) -> m' == (m : Machine.t)) tiles
         in
-        row "%-9s %4d %4d %9s | %26s | %26s\n" b.Suite.name lb la
-          (if cval = infinity then "inf" else Printf.sprintf "%.1f" cval)
-          (show (tile_of Machine.t3e))
-          (show (tile_of Machine.sp2)))
+        (nb, na)
+      in
+      row "%-9s %4d %4d %9s | %26s | %26s\n" b.Suite.name lb la
+        (if cval = infinity then "inf" else Printf.sprintf "%.1f" cval)
+        (show (tiles_on Machine.t3e))
+        (show (tiles_on Machine.sp2)))
     data;
-  if not !json_mode then
-    Printf.printf
-      "\nlb/la = live arrays before/after contraction; C = 100*(lb-la)/la\n\
-       predicts the %% change in problem volume (paper Figure 8).\n"
+  row
+    "\nlb/la = live arrays before/after contraction; C = 100*(lb-la)/la\n\
+     predicts the %% change in problem volume (paper Figure 8).\n"
 
 (* ------------------------------------------------------------------ *)
 (* Figures 9-11: runtime improvement over baseline                     *)
@@ -219,11 +201,10 @@ let perf_figure (m : Machine.t) =
     | "IBM SP-2" -> "fig10"
     | _ -> "fig11"
   in
-  if not !json_mode then
-    heading
-      (Printf.sprintf "Figure %s: %% improvement over baseline on the %s"
-         (String.sub fig 3 (String.length fig - 3))
-         m.Machine.name);
+  heading
+    (Printf.sprintf "Figure %s: %% improvement over baseline on the %s"
+       (String.sub fig 3 (String.length fig - 3))
+       m.Machine.name);
   (* the cache simulations dominate — one pool task per benchmark
      (baseline + every level), then the cheap per-procs communication
      recosting and all printing happen sequentially in suite order *)
@@ -252,36 +233,31 @@ let perf_figure (m : Machine.t) =
   in
   List.iter
     (fun ((b : Suite.bench), base, base_comp, level_data) ->
-      if not !json_mode then subheading b.Suite.name;
-      if not !json_mode then begin
-        row "%6s" "procs";
-        List.iter
-          (fun l -> row "%9s" (Compilers.Driver.level_name l))
-          perf_levels;
-        print_newline ()
-      end;
+      subheading b.Suite.name;
+      row "%6s" "procs";
+      List.iter (fun l -> row "%9s" (Compilers.Driver.level_name l)) perf_levels;
+      row "\n";
       List.iter
         (fun procs ->
           let tb = measure_time m ~procs base_comp base in
-          if not !json_mode then row "%6d" procs;
+          row "%6d" procs;
           List.iter
             (fun (level, c, comp) ->
               let t = measure_time m ~procs comp c in
               let pct = improvement_pct ~baseline:tb t in
-              if !json_mode then
-                json_row
-                  Obs.Json.
-                    [
-                      ("fig", String fig);
-                      ("machine", String m.Machine.name);
-                      ("bench", String b.Suite.name);
-                      ("level", String (Compilers.Driver.level_name level));
-                      ("procs", Int procs);
-                      ("improvement_pct", Float pct);
-                    ]
-              else row "%8.1f%%" pct)
+              json_row
+                Obs.Json.
+                  [
+                    ("fig", String fig);
+                    ("machine", String m.Machine.name);
+                    ("bench", String b.Suite.name);
+                    ("level", String (Compilers.Driver.level_name level));
+                    ("procs", Int procs);
+                    ("improvement_pct", Float pct);
+                  ];
+              row "%8.1f%%" pct)
             level_data;
-          if not !json_mode then print_newline ())
+          row "\n")
         procs_axis)
     data
 
@@ -317,9 +293,9 @@ let sec55 () =
           let t_fc = measure_time m ~procs (simulate m fc) fc in
           row " %11.1f%%" (100.0 *. (t_fc -. t_ff) /. t_ff))
         Machine.all;
-      print_newline ())
+      row "\n")
     Suite.all;
-  Printf.printf
+  row
     "\npositive = favoring communication optimization over fusion for\n\
      contraction loses performance (the paper's conclusion).\n"
 
@@ -496,36 +472,12 @@ let ablate_backend_cannot_recover () =
   let prog = Suite.load "tomcatv" in
   let m = Machine.t3e in
   let report tag code =
-    let hier =
-      Cachesim.Cache.Hierarchy.create ~l1:m.Machine.l1 ?l2:m.Machine.l2 ()
-    in
-    let r =
-      Exec.Interp.run
-        ~trace:(fun ~addr ~write ->
-          Cachesim.Cache.Hierarchy.access hier ~addr ~write)
-        code
-    in
-    let cnt = Exec.Interp.counters r in
-    let l1 = Cachesim.Cache.Hierarchy.l1_stats hier in
-    let l2m =
-      match Cachesim.Cache.Hierarchy.l2_stats hier with
-      | Some s -> s.Cachesim.Cache.misses
-      | None -> 0
-    in
-    let t =
-      Machine.time_ns m
-        {
-          Machine.flops = cnt.Exec.Interp.flops;
-          l1_accesses = l1.Cachesim.Cache.accesses;
-          l1_misses = l1.Cachesim.Cache.misses;
-          l2_misses = l2m;
-          comm_ns = 0.0;
-        }
-    in
+    let comp = simulate_code m code in
     row "  %-26s %2d arrays %9d flops %12.0f ns\n" tag
       (List.length code.Sir.Code.allocs)
-      cnt.Exec.Interp.flops t;
-    Exec.Interp.checksum r
+      comp.flops
+      (time_ns m comp ~comm_ns:0.0);
+    comp.checksum
   in
   let base =
     (compile ~level:Compilers.Driver.Baseline prog)

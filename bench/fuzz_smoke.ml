@@ -1,21 +1,18 @@
 (* Differential-fuzzing smoke: a fixed-seed slice of the zapc --fuzz
    campaign, sized for CI.  Every generated program must produce the
-   same live-out digest on every executor (see Fuzz.Oracle); any
-   divergence prints the oracle report plus a self-contained repro and
-   fails the bench (exit 1).
+   same live-out digest on every executor (see Fuzz.Oracle); a
+   divergence fails the bench with the oracle report plus a
+   self-contained repro.
 
    The campaign runs through Fuzz.Campaign on --jobs domains; the seed
    is pinned and per-case streams are split sequentially, so a run is
    bit-reproducible at any domain count: a failure here is a
-   regression, never flakiness.  With --json the section emits one row
-   per case (digest, backends checked, skips) — a committed run diffs
-   clean when nothing changed.
+   regression, never flakiness.  Rows are one per case (digest,
+   backends checked, skips).
 
-   The full-size json run additionally times the campaign at 1 worker
-   and at 4 workers, asserts the two produce identical rows (the
-   determinism contract, enforced, not assumed), and writes the
-   measurement to BENCH_fuzz_parallel.json.  Wall-clock lines go to
-   stderr: stdout stays deterministic. *)
+   The baseline is BENCH_fuzz_parallel.json: the campaign timed at 1
+   worker and at 4 workers, after asserting that the two produce
+   identical rows (the determinism contract, enforced, not assumed). *)
 
 let seed = 1L
 let budget () = if !Harness.tiny_mode then 25 else 150
@@ -47,66 +44,40 @@ let timed_run ~jobs n =
 
 let section () =
   let n = budget () in
-  if not !Harness.json_mode then
-    Harness.heading
-      (Printf.sprintf
-         "Differential fuzz smoke: %d seeded programs through every executor"
-         n);
-  let wall, cases = timed_run ~jobs:!Harness.jobs n in
-  let backends = Fuzz.Campaign.backend_runs cases in
-  let skips = Fuzz.Campaign.skipped_runs cases in
+  Harness.heading
+    (Printf.sprintf
+       "Differential fuzz smoke: %d seeded programs through every executor" n);
+  let cases = Fuzz.Campaign.run ~jobs:!Harness.jobs ~n ~seed () in
   let divergent = Fuzz.Campaign.divergent cases in
-  let failures = List.length divergent in
-  List.iter
-    (fun c ->
-      if !Harness.json_mode then
-        Harness.json_row
-          [ ("section", Obs.Json.String "fuzz"); ("row", row_json c) ])
-    cases;
-  List.iter
-    (fun (c : Fuzz.Campaign.case) ->
-      Printf.eprintf "fuzz smoke: case %d diverged\n%s\nrepro:\n%s\n"
-        c.Fuzz.Campaign.index
-        (Fuzz.Oracle.to_string c.Fuzz.Campaign.report)
-        (Fuzz.Repro.to_string
-           ~comment:
-             (Printf.sprintf "bench fuzz smoke, seed %Ld case %d" seed
-                c.Fuzz.Campaign.index)
-           c.Fuzz.Campaign.program))
-    divergent;
-  if not !Harness.json_mode then
-    Harness.row "%d cases, %d backend runs (%d skipped), %d divergences\n" n
-      backends skips failures;
-  if failures > 0 then exit 1;
-  (* parallel determinism + wall-clock, committed from the full run
-     only (--tiny must not overwrite the baseline) *)
-  if !Harness.json_mode && not !Harness.tiny_mode then begin
-    let seq_s, seq_cases, par_s, par_cases =
-      (* reuse the run above as one of the two measured points *)
-      if !Harness.jobs = 1 then
-        let par_s, par_cases = timed_run ~jobs:parallel_jobs n in
-        (wall, cases, par_s, par_cases)
-      else if !Harness.jobs = parallel_jobs then
-        let seq_s, seq_cases = timed_run ~jobs:1 n in
-        (seq_s, seq_cases, wall, cases)
-      else
-        let seq_s, seq_cases = timed_run ~jobs:1 n in
-        let par_s, par_cases = timed_run ~jobs:parallel_jobs n in
-        (seq_s, seq_cases, par_s, par_cases)
-    in
-    let identical =
-      String.equal (campaign_digest seq_cases) (campaign_digest par_cases)
-    in
-    if not identical then begin
-      Printf.eprintf
-        "fuzz smoke: parallel campaign (%d domains) differs from sequential!\n"
-        parallel_jobs;
-      exit 1
-    end;
-    let doc =
-      Obs.Json.Obj
+  Harness.emit "fuzz" row_json cases;
+  Harness.row "%d cases, %d backend runs (%d skipped), %d divergences\n" n
+    (Fuzz.Campaign.backend_runs cases)
+    (Fuzz.Campaign.skipped_runs cases)
+    (List.length divergent);
+  Harness.gate
+    (List.map
+       (fun (c : Fuzz.Campaign.case) ->
+         Printf.sprintf "fuzz smoke: case %d diverged\n%s\nrepro:\n%s"
+           c.Fuzz.Campaign.index
+           (Fuzz.Oracle.to_string c.Fuzz.Campaign.report)
+           (Fuzz.Repro.to_string
+              ~comment:
+                (Printf.sprintf "bench fuzz smoke, seed %Ld case %d" seed
+                   c.Fuzz.Campaign.index)
+              c.Fuzz.Campaign.program))
+       divergent);
+  if Harness.writes_baseline () then begin
+    let seq_s, seq_cases = timed_run ~jobs:1 n in
+    let par_s, par_cases = timed_run ~jobs:parallel_jobs n in
+    Harness.gate
+      (Harness.check
+         (String.equal (campaign_digest seq_cases) (campaign_digest par_cases))
+         "fuzz smoke: parallel campaign (%d domains) differs from sequential!"
+         parallel_jobs);
+    Harness.write_baseline ~file:"BENCH_fuzz_parallel.json"
+      ~schema:"fuzion/bench-fuzz-parallel/1"
+      ~meta:
         [
-          ("schema", Obs.Json.String "fuzion/bench-fuzz-parallel/1");
           ( "note",
             Obs.Json.String
               "wall-clock measurement — unlike the other BENCH files this \
@@ -114,32 +85,15 @@ let section () =
           ("cases", Obs.Json.Int n);
           ("seed", Obs.Json.Int (Int64.to_int seed));
           ("available_cores", Obs.Json.Int (Support.Pool.default_domains ()));
-          ("reports_identical", Obs.Json.Bool identical);
-          ( "rows",
-            Obs.Json.List
-              [
-                Obs.Json.Obj
-                  [
-                    ("jobs", Obs.Json.Int 1);
-                    ("wall_s", Obs.Json.Float seq_s);
-                    ("speedup", Obs.Json.Float 1.0);
-                  ];
-                Obs.Json.Obj
-                  [
-                    ("jobs", Obs.Json.Int parallel_jobs);
-                    ("wall_s", Obs.Json.Float par_s);
-                    ( "speedup",
-                      Obs.Json.Float
-                        (if par_s > 0.0 then seq_s /. par_s else 0.0) );
-                  ];
-              ] );
+          ("reports_identical", Obs.Json.Bool true);
         ]
-    in
-    let oc = open_out "BENCH_fuzz_parallel.json" in
-    output_string oc (Format.asprintf "%a@." Obs.Json.pp doc);
-    close_out oc;
-    Printf.eprintf
-      "wrote BENCH_fuzz_parallel.json (jobs=1 %.2fs, jobs=%d %.2fs, %.2fx)\n"
-      seq_s parallel_jobs par_s
-      (if par_s > 0.0 then seq_s /. par_s else 0.0)
+      (fun (jobs, wall_s) ->
+        Obs.Json.Obj
+          [
+            ("jobs", Obs.Json.Int jobs);
+            ("wall_s", Obs.Json.Float wall_s);
+            ( "speedup",
+              Obs.Json.Float (if wall_s > 0.0 then seq_s /. wall_s else 0.0) );
+          ])
+      [ (1, seq_s); (parallel_jobs, par_s) ]
   end

@@ -9,7 +9,7 @@
    plan); iterations 2.. are the warm pass and must be served entirely
    from the engine's fingerprint-keyed cache.
 
-   Three properties are load-bearing and fail the bench (exit 1):
+   Three properties are load-bearing and fail the bench:
 
    - correctness: every forced result is checksum-equal to
      Exec.Refinterp on the trace's direct lowering (the eager twin);
@@ -18,9 +18,8 @@
      counters do not advance after iteration 1, and the trace-shape
      fingerprint is identical across all iterations.
 
-   With --json (and not --tiny) the section writes BENCH_lazy.json —
-   wall_s is wall-clock and varies by machine; every other field is
-   deterministic. *)
+   The baseline is BENCH_lazy.json — wall_s is wall-clock and varies
+   by machine; every other field is deterministic. *)
 
 module T = Lazyarr.Trace
 module Api = Service.Api
@@ -116,6 +115,21 @@ let pass_json p =
       ("checksum_ok", Obs.Json.Bool p.checksum_ok);
     ]
 
+let columns : pass Harness.column list =
+  [
+    ("scenario", -18, fun p -> p.scenario);
+    ("phase", -5, fun p -> p.phase);
+    ("iters", 6, fun p -> string_of_int p.iters);
+    ("flushes", 8, fun p -> string_of_int p.flushes);
+    ("hits", 6, fun p -> string_of_int p.hits);
+    ("miss", 6, fun p -> string_of_int p.misses);
+    ("hit-rate", 9, fun p -> Printf.sprintf "%8.1f%%" (100.0 *. p.hit_rate));
+    ("compiles", 9, fun p -> string_of_int p.compiles_computed);
+    ("plans", 6, fun p -> string_of_int p.plans_computed);
+    ("wall s", 8, fun p -> Printf.sprintf "%.3f" p.wall_s);
+    ("checksums", 9, fun p -> if p.checksum_ok then "ok" else "MISMATCH");
+  ]
+
 let section () =
   Harness.heading
     "lazy runtime fusion: streaming trace shapes through the plan cache, \
@@ -131,101 +145,71 @@ let section () =
       ("stencil2d-search", Api.Search, stencil2d_iter ~n:n2);
     ]
   in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  let passes =
-    List.concat_map
+  let results =
+    List.map
       (fun (name, plan, iter_fn) ->
         let ctx = T.create ~name ~plan () in
+        (* one pass and its checksum failures *)
         let run_range phase lo hi =
           let s0 = T.stats ctx in
           let t0 = Unix.gettimeofday () in
-          let ok = ref true in
-          for t = lo to hi do
-            let lazy_sum, ref_sum = iter_fn ctx t in
-            if lazy_sum <> ref_sum then begin
-              ok := false;
-              fail "%s: iteration %d lazy checksum %s <> reference %s" name t
-                lazy_sum ref_sum
-            end
-          done;
+          let mismatches =
+            List.concat_map
+              (fun t ->
+                let lazy_sum, ref_sum = iter_fn ctx t in
+                Harness.check (lazy_sum = ref_sum)
+                  "%s: iteration %d lazy checksum %s <> reference %s" name t
+                  lazy_sum ref_sum)
+              (List.init (hi - lo + 1) (fun i -> lo + i))
+          in
           let wall_s = Unix.gettimeofday () -. t0 in
           let s1 = T.stats ctx in
           let hits = s1.T.cache_hits - s0.T.cache_hits in
           let misses = s1.T.cache_misses - s0.T.cache_misses in
-          let looked = hits + misses in
-          {
-            scenario = name;
-            phase;
-            iters = hi - lo + 1;
-            flushes = s1.T.flushes - s0.T.flushes;
-            hits;
-            misses;
-            hit_rate =
-              (if looked > 0 then float_of_int hits /. float_of_int looked
-               else 0.0);
-            compiles_computed = s1.T.compiles_computed - s0.T.compiles_computed;
-            plans_computed = s1.T.plans_computed - s0.T.plans_computed;
-            wall_s;
-            checksum_ok = !ok;
-          }
+          ( {
+              scenario = name;
+              phase;
+              iters = hi - lo + 1;
+              flushes = s1.T.flushes - s0.T.flushes;
+              hits;
+              misses;
+              hit_rate = Harness.hit_rate ~hits ~misses;
+              compiles_computed = s1.T.compiles_computed - s0.T.compiles_computed;
+              plans_computed = s1.T.plans_computed - s0.T.plans_computed;
+              wall_s;
+              checksum_ok = mismatches = [];
+            },
+            mismatches )
         in
-        let cold = run_range "cold" 1 1 in
+        let cold, cold_bad = run_range "cold" 1 1 in
         let fp_cold = (T.stats ctx).T.last_fingerprint in
-        let warm = run_range "warm" 2 iters in
+        let warm, warm_bad = run_range "warm" 2 iters in
         let fp_warm = (T.stats ctx).T.last_fingerprint in
-        if warm.hit_rate < 0.9 then
-          fail "%s: warm hit rate %.2f < 0.90" name warm.hit_rate;
-        if warm.compiles_computed > 0 || warm.plans_computed > 0 then
-          fail "%s: warm pass recompiled (%d compiles, %d plans computed)" name
-            warm.compiles_computed warm.plans_computed;
-        if fp_cold <> fp_warm then
-          fail "%s: trace-shape fingerprint drifted %s -> %s" name
-            (Option.value ~default:"-" fp_cold)
-            (Option.value ~default:"-" fp_warm);
-        [ cold; warm ])
+        ( [ cold; warm ],
+          cold_bad @ warm_bad
+          @ Harness.check (warm.hit_rate >= 0.9) "%s: warm hit rate %.2f < 0.90"
+              name warm.hit_rate
+          @ Harness.check
+              (warm.compiles_computed = 0 && warm.plans_computed = 0)
+              "%s: warm pass recompiled (%d compiles, %d plans computed)" name
+              warm.compiles_computed warm.plans_computed
+          @ Harness.check (fp_cold = fp_warm)
+              "%s: trace-shape fingerprint drifted %s -> %s" name
+              (Option.value ~default:"-" fp_cold)
+              (Option.value ~default:"-" fp_warm) ))
       scenarios
   in
-  if !Harness.json_mode then begin
-    List.iter
-      (fun p ->
-        Harness.json_row
-          [ ("section", Obs.Json.String "lazy"); ("row", pass_json p) ])
-      passes;
-    if not tiny then begin
-      let doc =
-        Obs.Json.Obj
-          [
-            ("schema", Obs.Json.String "fuzion/bench-lazy/1");
-            ( "note",
-              Obs.Json.String
-                "wall-clock measurement: wall_s varies by machine; \
-                 checksums, counters and hit rates are deterministic" );
-            ("rows", Obs.Json.List (List.map pass_json passes));
-          ]
-      in
-      let oc = open_out "BENCH_lazy.json" in
-      output_string oc (Format.asprintf "%a@." Obs.Json.pp doc);
-      close_out oc;
-      Printf.eprintf "wrote BENCH_lazy.json (%d rows)\n" (List.length passes)
-    end
-  end
-  else begin
-    Harness.row "%-18s %-5s %6s %8s %6s %6s %9s %9s %6s %8s %9s\n" "scenario"
-      "phase" "iters" "flushes" "hits" "miss" "hit-rate" "compiles" "plans"
-      "wall s" "checksums";
-    List.iter
-      (fun p ->
-        Harness.row "%-18s %-5s %6d %8d %6d %6d %8.1f%% %9d %6d %8.3f %9s\n"
-          p.scenario p.phase p.iters p.flushes p.hits p.misses
-          (100.0 *. p.hit_rate) p.compiles_computed p.plans_computed p.wall_s
-          (if p.checksum_ok then "ok" else "MISMATCH"))
-      passes
-  end;
-  match !failures with
-  | [] -> ()
-  | msgs ->
-      List.iter
-        (fun m -> Printf.eprintf "lazy bench FAILED: %s\n" m)
-        (List.rev msgs);
-      exit 1
+  let passes = List.concat_map fst results in
+  Harness.emit "lazy" pass_json passes;
+  Harness.write_baseline ~file:"BENCH_lazy.json" ~schema:"fuzion/bench-lazy/1"
+    ~meta:
+      [
+        ( "note",
+          Obs.Json.String
+            "wall-clock measurement: wall_s varies by machine; checksums, \
+             counters and hit rates are deterministic" );
+      ]
+    pass_json passes;
+  Harness.table columns passes;
+  Harness.gate
+    (List.map (( ^ ) "lazy bench FAILED: ") (List.concat_map snd results))

@@ -4,7 +4,8 @@
 
      dune exec bench/main.exe            -- everything
      dune exec bench/main.exe -- fig6    -- one table/figure
-     (fig6 fig7 fig8 fig9 fig10 fig11 sec55 ablate speed)          *)
+     (fig6 fig7 fig8 fig9 fig10 fig11 sec55 ablate spmd plan native
+      fuzz zapd lazy speed; options --json --tiny --jobs N)         *)
 
 let optimizer_speed () =
   Harness.heading
@@ -60,6 +61,13 @@ let optimizer_speed () =
         stats)
     tests
 
+(* Under --json a section without a row form runs nothing and says
+   so with a skipped row. *)
+let text_only name run =
+  ( name,
+    fun () ->
+      if !Harness.json_mode then Harness.skip name "no JSON rows" else run () )
+
 let sections =
   [
     ("fig6", Figures.fig6);
@@ -68,15 +76,15 @@ let sections =
     ("fig9", Figures.fig9);
     ("fig10", Figures.fig10);
     ("fig11", Figures.fig11);
-    ("sec55", Figures.sec55);
-    ("ablate", Figures.ablate);
+    text_only "sec55" Figures.sec55;
+    text_only "ablate" Figures.ablate;
     ("spmd", Spmd_agree.section);
     ("plan", Plan_gap.section);
     ("native", Native_exec.section);
     ("fuzz", Fuzz_smoke.section);
     ("zapd", Zapd_load.section);
     ("lazy", Lazy_stream.section);
-    ("speed", optimizer_speed);
+    text_only "speed" optimizer_speed;
   ]
 
 let () =

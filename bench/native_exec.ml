@@ -9,8 +9,7 @@
    optimize), and the native live-out checksum must equal the
    interpreter's bit for bit.
 
-   Two properties are asserted, and their violation fails the bench
-   (exit 1):
+   Two properties are asserted, and their violation fails the bench:
      - every native checksum equals the interpreter checksum;
      - a warm pass over every cell performs zero recompiles and
        reproduces the cold checksums exactly.
@@ -21,13 +20,12 @@
    rank agreement between predicted and measured time is reported as
    Kendall's tau (tau-a) with the raw inversion count.
 
-   With --json the section also writes BENCH_native.json: the
-   committed record of checksums, wall-clocks, rank agreement and
-   toolchain provenance.  Wall-clock fields vary run to run; the
-   checksum and agreement structure is the stable part.
+   The baseline is BENCH_native.json: checksums, wall-clocks, rank
+   agreement and toolchain provenance.  Wall-clock fields vary run to
+   run; the checksum and agreement structure is the stable part.
 
-   When no C compiler is on PATH the section skips with an explicit
-   notice and exits cleanly — CI without a toolchain must not fail. *)
+   Without a C compiler on PATH the section skips: CI without a
+   toolchain must not fail. *)
 
 let model_machine = Machine.t3e
 
@@ -45,43 +43,24 @@ let modes () =
   in
   List.map (fun l -> Greedy l) levels @ [ Search; Ilp ]
 
-let tile_of (b : Suite.bench) =
-  if !Harness.tiny_mode then Some (if b.rank = 1 then 256 else 16) else None
-
 let reps () = if !Harness.tiny_mode then 1 else 3
-
-(* CI-smoke budgets, as in plan_gap *)
-let search_cfg () =
-  if !Harness.tiny_mode then
-    { Plan.Search.default with Plan.Search.max_states = 600; beam_width = 2 }
-  else Plan.Search.default
-
-let ilp_cfg () =
-  if !Harness.tiny_mode then
-    { Plan.Ilp.default with Plan.Ilp.max_clusters = 400; max_pivots = 20_000 }
-  else Plan.Ilp.default
 
 let compile_mode prog = function
   | Greedy l -> Harness.compile ~level:l prog
-  | (Search | Ilp) as m -> (
+  | (Search | Ilp) as m ->
       let cost =
         Plan.Cost.create
           { Plan.Cost.machine = model_machine; procs = 1; opts = Comm.Model.all_on }
           prog
       in
-      let r =
-        match m with
+      let search = Harness.search_cfg () in
+      Harness.ok_or_die
+        (match m with
         | Ilp ->
             Result.map fst
-              (Plan.Driver.compile_ilp ~search:(search_cfg ()) ~ilp:(ilp_cfg ())
-                 ~cost prog)
-        | _ -> Result.map fst (Plan.Driver.compile ~search:(search_cfg ()) ~cost prog)
-      in
-      match r with
-      | Ok c -> c
-      | Error d ->
-          Printf.eprintf "bench: %s\n" (Obs.Diagnostic.to_string d);
-          exit 1)
+              (Plan.Driver.compile_ilp ~search ~ilp:(Harness.ilp_cfg ()) ~cost
+                 prog)
+        | _ -> Result.map fst (Plan.Driver.compile ~search ~cost prog))
 
 type rowr = {
   bench : string;
@@ -174,6 +153,28 @@ let agreement_json a =
       ("kendall_tau", Obs.Json.Float a.tau);
     ]
 
+let columns : rowr Harness.column list =
+  [
+    ("bench", -8, fun r -> r.bench);
+    ("mode", -16, fun r -> r.mode);
+    ("predicted ns", 14, fun r -> Printf.sprintf "%.0f" r.predicted_ns);
+    ("wall ns", 14, fun r -> Int64.to_string r.wall_ns);
+    ("units", 6, fun r -> string_of_int r.units);
+    ("built", 6, fun r -> if r.built then "yes" else "no");
+    ( "checksum",
+      0,
+      fun r -> r.native_checksum ^ if r.agrees then "" else "  DIVERGES" );
+  ]
+
+let agreement_columns : agreement Harness.column list =
+  [
+    ("bench", -8, fun a -> a.abench);
+    ("pairs", 8, fun a -> string_of_int a.pairs);
+    ("inversions", 12, fun a -> string_of_int a.inversions);
+    ("kendall-tau", 12, fun a -> Printf.sprintf "%.3f" a.tau);
+    ("ties", 6, fun a -> string_of_int a.ties);
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* The section                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -198,28 +199,14 @@ let run_min runner ~reps =
   | Ok (None, _) -> Error { Native.Build.argv = []; status = "-"; detail = "no reps" }
   | Error e -> Error e
 
-let die e =
-  Printf.eprintf "bench: native: %s\n" (Native.Build.error_to_string e);
-  exit 1
+let die e = Harness.die "native: %s" (Native.Build.error_to_string e)
 
 let section () =
-  if not !Harness.json_mode then
-    Harness.heading
-      "Native execution: suite x plan mode on real hardware vs the cachesim \
-       model (t3e x1)";
-  if not (Native.Toolchain.available ()) then begin
-    (* explicit, machine-readable skip: CI without a toolchain is a
-       configuration, not a failure *)
-    if !Harness.json_mode then
-      Harness.json_row
-        [
-          ("section", Obs.Json.String "native");
-          ("skipped", Obs.Json.Bool true);
-          ("reason", Obs.Json.String "no C compiler on PATH");
-        ]
-    else print_endline "skipped: no C compiler on PATH";
-    ()
-  end
+  Harness.heading
+    "Native execution: suite x plan mode on real hardware vs the cachesim \
+     model (t3e x1)";
+  if not (Native.Toolchain.available ()) then
+    Harness.skip "native" "no C compiler on PATH"
   else begin
     let cells =
       List.concat_map (fun b -> List.map (fun m -> (b, m)) (modes ())) Suite.all
@@ -229,7 +216,7 @@ let section () =
     let compiled =
       Support.Pool.map ~domains:!Harness.jobs
         (fun ((b : Suite.bench), m) ->
-          let prog = Suite.program ?tile:(tile_of b) b in
+          let prog = Suite.program ?tile:(Harness.tile_of b) b in
           let c = compile_mode prog m in
           let comp = Harness.simulate model_machine c in
           let predicted = Harness.measure_time model_machine ~procs:1 comp c in
@@ -284,86 +271,52 @@ let section () =
       compiled rows;
     let agreements = List.map (fun (b : Suite.bench) -> agreement_of ~bench:b.Suite.name rows) Suite.all in
     let stats = Native.Store.stats store in
-    if !Harness.json_mode then begin
-      List.iter
-        (fun r ->
-          Harness.json_row
-            [ ("section", Obs.Json.String "native"); ("row", row_json r) ])
-        rows;
-      (* the committed baseline is always full-size: the --tiny smoke
-         must not overwrite it *)
-      if not !Harness.tiny_mode then begin
-        let doc =
-          Obs.Json.Obj
-            [
-              ("schema", Obs.Json.String "fuzion/bench-native/1");
-              ("compiler", Obs.Json.String (Native.Toolchain.describe ()));
-              ( "cc_argv",
-                Obs.Json.List
-                  (List.map
-                     (fun s -> Obs.Json.String s)
-                     (Native.Toolchain.cc_argv ())) );
-              ("model_machine", Obs.Json.String model_machine.Machine.name);
-              ("model_procs", Obs.Json.Int 1);
-              ("reps", Obs.Json.Int (reps ()));
-              ("rows", Obs.Json.List (List.map row_json rows));
-              ( "rank_agreement",
-                Obs.Json.List (List.map agreement_json agreements) );
-              ( "warm",
-                Obs.Json.Obj
-                  [
-                    ("recompiles", Obs.Json.Int !warm_recompiles);
-                    ("mismatches", Obs.Json.Int !warm_mismatches);
-                    ("store_builds", Obs.Json.Int stats.Native.Store.builds);
-                    ("store_reuses", Obs.Json.Int stats.Native.Store.reuses);
-                  ] );
-            ]
-        in
-        let oc = open_out "BENCH_native.json" in
-        output_string oc (Format.asprintf "%a@." Obs.Json.pp doc);
-        close_out oc;
-        Printf.eprintf "wrote BENCH_native.json (%d rows)\n" (List.length rows)
-      end
-    end
-    else begin
-      Printf.printf "toolchain: %s\n\n" (Native.Toolchain.describe ());
-      Harness.row "%-8s %-16s %14s %14s %6s %6s %s\n" "bench" "mode"
-        "predicted ns" "wall ns" "units" "built" "checksum";
-      List.iter
-        (fun r ->
-          Harness.row "%-8s %-16s %14.0f %14Ld %6d %6s %s%s\n" r.bench r.mode
-            r.predicted_ns r.wall_ns r.units
-            (if r.built then "yes" else "no")
-            r.native_checksum
-            (if r.agrees then "" else "  DIVERGES"))
-        rows;
-      print_newline ();
-      Harness.row "%-8s %8s %12s %12s %6s\n" "bench" "pairs" "inversions"
-        "kendall-tau" "ties";
-      List.iter
-        (fun a ->
-          Harness.row "%-8s %8d %12d %12.3f %6d\n" a.abench a.pairs a.inversions
-            a.tau a.ties)
-        agreements;
-      Printf.printf
-        "\nwarm pass: %d recompiles, %d checksum mismatches (store: %d builds, \
-         %d reuses)\n"
-        !warm_recompiles !warm_mismatches stats.Native.Store.builds
-        stats.Native.Store.reuses
-    end;
-    let diverged = List.filter (fun r -> not r.agrees) rows in
-    List.iter
-      (fun r ->
-        Printf.eprintf
-          "native divergence: %s @ %s (interp %s, native %s)\n" r.bench r.mode
-          r.interp_checksum r.native_checksum)
-      diverged;
-    if !warm_recompiles > 0 then
-      Printf.eprintf "native: warm pass recompiled %d artifacts\n"
-        !warm_recompiles;
-    if !warm_mismatches > 0 then
-      Printf.eprintf "native: warm pass diverged on %d artifacts\n"
-        !warm_mismatches;
-    if diverged <> [] || !warm_recompiles > 0 || !warm_mismatches > 0 then
-      exit 1
+    Harness.emit "native" row_json rows;
+    Harness.write_baseline ~file:"BENCH_native.json"
+      ~schema:"fuzion/bench-native/1"
+      ~meta:
+        [
+          ("compiler", Obs.Json.String (Native.Toolchain.describe ()));
+          ( "cc_argv",
+            Obs.Json.List
+              (List.map
+                 (fun s -> Obs.Json.String s)
+                 (Native.Toolchain.cc_argv ())) );
+          ("model_machine", Obs.Json.String model_machine.Machine.name);
+          ("model_procs", Obs.Json.Int 1);
+          ("reps", Obs.Json.Int (reps ()));
+        ]
+      ~trailer:
+        [
+          ("rank_agreement", Obs.Json.List (List.map agreement_json agreements));
+          ( "warm",
+            Obs.Json.Obj
+              [
+                ("recompiles", Obs.Json.Int !warm_recompiles);
+                ("mismatches", Obs.Json.Int !warm_mismatches);
+                ("store_builds", Obs.Json.Int stats.Native.Store.builds);
+                ("store_reuses", Obs.Json.Int stats.Native.Store.reuses);
+              ] );
+        ]
+      row_json rows;
+    Harness.row "toolchain: %s\n\n" (Native.Toolchain.describe ());
+    Harness.table columns rows;
+    Harness.row "\n";
+    Harness.table agreement_columns agreements;
+    Harness.row
+      "\nwarm pass: %d recompiles, %d checksum mismatches (store: %d builds, \
+       %d reuses)\n"
+      !warm_recompiles !warm_mismatches stats.Native.Store.builds
+      stats.Native.Store.reuses;
+    Harness.gate
+      (List.concat_map
+         (fun r ->
+           Harness.check r.agrees
+             "native divergence: %s @ %s (interp %s, native %s)" r.bench r.mode
+             r.interp_checksum r.native_checksum)
+         rows
+      @ Harness.check (!warm_recompiles = 0)
+          "native: warm pass recompiled %d artifacts" !warm_recompiles
+      @ Harness.check (!warm_mismatches = 0)
+          "native: warm pass diverged on %d artifacts" !warm_mismatches)
   end

@@ -6,25 +6,20 @@
    ilp <= search <= greedy must hold under the model — search is
    seeded with the greedy partition and the ILP solve is seeded with
    the searched partitions, so any inversion is a planner bug and
-   fails the bench (exit 1) — and every planner's interpreter
-   checksum must equal the greedy program's (plans may differ;
-   results may not).
+   fails the bench — and every planner's interpreter checksum must
+   equal the greedy program's (plans may differ; results may not).
 
    When the ILP's column enumeration completed on every block the row
    also carries the certified lower bound, and cert_gap_pct says how
    far the chosen plan sits above it (0 on proved-optimal cells).
 
-   With --json the section also writes BENCH_plan_gap.json to the
-   current directory: the committed baseline of greedy vs searched vs
-   ILP cost per configuration.  Deterministic, so a re-run diffs
-   clean when nothing changed. *)
+   The baseline is BENCH_plan_gap.json: greedy vs searched vs ILP cost
+   per configuration, deterministic, so a re-run diffs clean when
+   nothing changed. *)
 
 let machines = [ Machine.t3e; Machine.sp2; Machine.paragon ]
 
 let procs_list = [ 1; 16 ]
-
-let tile_of (b : Suite.bench) =
-  if !Harness.tiny_mode then Some (if b.rank = 1 then 256 else 16) else None
 
 type rowr = {
   bench : string;
@@ -79,16 +74,21 @@ let row_json r =
       ("ok", Obs.Json.Bool r.ok);
     ]
 
-(* CI-smoke budget: the full solve is the committed baseline's job *)
-let search_cfg () =
-  if !Harness.tiny_mode then
-    { Plan.Search.default with Plan.Search.max_states = 600; beam_width = 2 }
-  else Plan.Search.default
-
-let ilp_cfg () =
-  if !Harness.tiny_mode then
-    { Plan.Ilp.default with Plan.Ilp.max_clusters = 400; max_pivots = 20_000 }
-  else Plan.Ilp.default
+let columns : rowr Harness.column list =
+  let ns f r = Printf.sprintf "%.0f" (f r) in
+  [
+    ("bench", -8, fun r -> r.bench);
+    ("machine", -12, fun r -> r.machine);
+    ("procs", 5, fun r -> string_of_int r.procs);
+    ("greedy ns", 14, ns (fun r -> r.greedy_ns));
+    ("search ns", 14, ns (fun r -> r.search_ns));
+    ("ilp ns", 14, ns (fun r -> r.ilp_ns));
+    ("gap%", 7, fun r -> Printf.sprintf "%6.2f%%" r.ilp_gap_pct);
+    ("cols", 7, fun r -> string_of_int r.ilp_columns);
+    ("chosen", 7, fun r -> r.chosen);
+    ("proved", 6, fun r -> if r.proved then "yes" else "no");
+    ("ok", 0, fun r -> if r.ok then "ok" else "WORSE");
+  ]
 
 (* checksums only depend on the generated code, not the machine the
    plan was priced for — cache them across the machine × procs sweep.
@@ -121,20 +121,15 @@ let plan_signature (c : Compilers.Driver.compiled) =
        c.Compilers.Driver.plan)
 
 let measure (b : Suite.bench) (machine : Machine.t) procs =
-  let prog = Suite.program ?tile:(tile_of b) b in
+  let prog = Suite.program ?tile:(Harness.tile_of b) b in
   let greedy = Harness.compile ~level:Compilers.Driver.C2F3 prog in
   let cost =
     Plan.Cost.create { Plan.Cost.machine; procs; opts = Comm.Model.all_on } prog
   in
   let chosen, prov =
-    match
-      Plan.Driver.compile_ilp ~search:(search_cfg ()) ~ilp:(ilp_cfg ()) ~cost
-        prog
-    with
-    | Ok r -> r
-    | Error d ->
-        Printf.eprintf "bench: %s\n" (Obs.Diagnostic.to_string d);
-        exit 1
+    Harness.ok_or_die
+      (Plan.Driver.compile_ilp ~search:(Harness.search_cfg ())
+         ~ilp:(Harness.ilp_cfg ()) ~cost prog)
   in
   let greedy_sum =
     checksum_of ~key:(b.name ^ "!greedy") greedy.Compilers.Driver.code
@@ -201,10 +196,9 @@ let measure (b : Suite.bench) (machine : Machine.t) procs =
   }
 
 let section () =
-  if not !Harness.json_mode then
-    Harness.heading
-      "Planner gap: branch-and-cut ILP and beam search vs greedy c2+f3 under \
-       the unified cost model";
+  Harness.heading
+    "Planner gap: branch-and-cut ILP and beam search vs greedy c2+f3 under \
+     the unified cost model";
   let machines = if !Harness.tiny_mode then [ Machine.t3e ] else machines in
   let procs_list = if !Harness.tiny_mode then [ 16 ] else procs_list in
   (* one task per (benchmark, machine, procs) cell, fanned out over
@@ -224,49 +218,15 @@ let section () =
       (fun (b, m, procs) -> measure b m procs)
       cells
   in
-  if !Harness.json_mode then begin
-    List.iter
-      (fun r ->
-        Harness.json_row
-          [ ("section", Obs.Json.String "plan"); ("row", row_json r) ])
-      rows;
-    (* the committed baseline is always full-size: the --tiny smoke
-       must not overwrite it *)
-    if not !Harness.tiny_mode then begin
-      let doc =
-        Obs.Json.Obj
-          [
-            ("schema", Obs.Json.String "fuzion/bench-plan-gap/2");
-            ("rows", Obs.Json.List (List.map row_json rows));
-          ]
-      in
-      let oc = open_out "BENCH_plan_gap.json" in
-      output_string oc (Format.asprintf "%a@." Obs.Json.pp doc);
-      close_out oc;
-      Printf.eprintf "wrote BENCH_plan_gap.json (%d rows)\n" (List.length rows)
-    end
-  end
-  else begin
-    Harness.row "%-8s %-12s %5s %14s %14s %14s %7s %7s %7s %6s %s\n" "bench"
-      "machine" "procs" "greedy ns" "search ns" "ilp ns" "gap%" "cols"
-      "chosen" "proved" "ok";
-    List.iter
-      (fun r ->
-        Harness.row "%-8s %-12s %5d %14.0f %14.0f %14.0f %6.2f%% %7d %7s %6s %s\n"
-          r.bench r.machine r.procs r.greedy_ns r.search_ns r.ilp_ns
-          r.ilp_gap_pct r.ilp_columns r.chosen
-          (if r.proved then "yes" else "no")
-          (if r.ok then "ok" else "WORSE"))
-      rows
-  end;
-  let bad = List.filter (fun r -> not r.ok) rows in
-  if bad <> [] then begin
-    List.iter
-      (fun r ->
-        Printf.eprintf
-          "plan regression: %s on %s x%d (greedy %.0f ns, search %.0f ns, ilp \
-           %.0f ns, chosen %s)\n"
-          r.bench r.machine r.procs r.greedy_ns r.search_ns r.ilp_ns r.chosen)
-      bad;
-    exit 1
-  end
+  Harness.emit "plan" row_json rows;
+  Harness.write_baseline ~file:"BENCH_plan_gap.json"
+    ~schema:"fuzion/bench-plan-gap/2" row_json rows;
+  Harness.table columns rows;
+  Harness.gate
+    (List.concat_map
+       (fun r ->
+         Harness.check r.ok
+           "plan regression: %s on %s x%d (greedy %.0f ns, search %.0f ns, \
+            ilp %.0f ns, chosen %s)"
+           r.bench r.machine r.procs r.greedy_ns r.search_ns r.ilp_ns r.chosen)
+       rows)

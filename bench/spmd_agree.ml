@@ -4,24 +4,19 @@
    For each (benchmark, level, procs) configuration the engine's
    charged traffic must equal Comm.Model.analyze exactly and the
    distributed checksum must equal the sequential interpreter's; any
-   disagreement fails the bench (exit 1).  The wire-level counts
-   (actual sender→receiver pairs, clipped payloads) ride along for
-   inspection — they legitimately differ from the charged ones, see
-   docs/spmd.md.
+   disagreement fails the bench.  The wire-level counts (actual
+   sender→receiver pairs, clipped payloads) ride along for inspection
+   — they legitimately differ from the charged ones, see docs/spmd.md.
 
-   With --json the section also writes BENCH_spmd_agreement.json to
-   the current directory: the committed baseline of executed vs
-   predicted traffic.  The output is deterministic, so a re-run diffs
-   clean when nothing changed. *)
+   The baseline is BENCH_spmd_agreement.json: executed vs predicted
+   traffic, deterministic, so a re-run diffs clean when nothing
+   changed. *)
 
 let machine = Machine.t3e
 
 let levels = Compilers.Driver.[ Baseline; F1; C1; F2; F3; C2; C2F3 ]
 
 let procs_list = [ 4; 16 ]
-
-let tile_of (b : Suite.bench) =
-  if !Harness.tiny_mode then Some (if b.rank = 1 then 256 else 16) else None
 
 type rowr = {
   bench : string;
@@ -70,8 +65,24 @@ let row_json r =
           ] );
     ]
 
+let columns : rowr Harness.column list =
+  let pair a b = Printf.sprintf "%4d/%-4d" a b in
+  [
+    ("bench", -8, fun r -> r.bench);
+    ("level", -9, fun r -> r.level);
+    ("procs", 5, fun r -> string_of_int r.procs);
+    ("msgs p/e", 9, fun r -> pair r.predicted_messages r.charged_messages);
+    ("bytes p/e", 9, fun r -> pair r.predicted_bytes r.charged_bytes);
+    ( "wire m/B",
+      10,
+      fun r -> Printf.sprintf "%5d/%-6d" r.wire_messages r.wire_bytes );
+    ("comm ns", 10, fun r -> Printf.sprintf "%.0f" r.executed_comm_ns);
+    ("unmod", 6, fun r -> string_of_int r.unmodeled);
+    ("ok", 0, fun r -> if r.agree then "ok" else "DISAGREES");
+  ]
+
 let measure (b : Suite.bench) level procs =
-  let prog = Suite.program ?tile:(tile_of b) b in
+  let prog = Suite.program ?tile:(Harness.tile_of b) b in
   let c = Harness.compile ~level prog in
   let seq_sum = Exec.Interp.checksum (Exec.Interp.run c.Compilers.Driver.code) in
   let a = Comm.Model.analyze ~machine ~procs ~opts:Comm.Model.all_on c in
@@ -107,9 +118,8 @@ let measure (b : Suite.bench) level procs =
   }
 
 let section () =
-  if not !Harness.json_mode then
-    Harness.heading
-      "SPMD agreement: executed grid run vs analytical model (Cray T3E)";
+  Harness.heading
+    "SPMD agreement: executed grid run vs analytical model (Cray T3E)";
   (* one task per (benchmark, level, procs) cell; Pool.map keeps cell
      order, so rows (and the committed baseline) are independent of
      --jobs *)
@@ -126,49 +136,18 @@ let section () =
       (fun (b, level, procs) -> measure b level procs)
       cells
   in
-  if !Harness.json_mode then begin
-    List.iter
-      (fun r -> Harness.json_row [ ("section", Obs.Json.String "spmd"); ("row", row_json r) ])
-      rows;
-    (* the committed baseline is always full-size: the --tiny smoke
-       must not overwrite it *)
-    if not !Harness.tiny_mode then begin
-      let doc =
-        Obs.Json.Obj
-          [
-            ("schema", Obs.Json.String "fuzion/bench-spmd-agreement/1");
-            ("machine", Obs.Json.String machine.Machine.name);
-            ("rows", Obs.Json.List (List.map row_json rows));
-          ]
-      in
-      let oc = open_out "BENCH_spmd_agreement.json" in
-      output_string oc (Format.asprintf "%a@." Obs.Json.pp doc);
-      close_out oc;
-      Printf.eprintf "wrote BENCH_spmd_agreement.json (%d rows)\n"
-        (List.length rows)
-    end
-  end
-  else begin
-    Harness.row "%-8s %-9s %5s %9s %9s %10s %10s %6s %s\n" "bench" "level"
-      "procs" "msgs p/e" "bytes p/e" "wire m/B" "comm ns" "unmod" "ok";
-    List.iter
-      (fun r ->
-        Harness.row "%-8s %-9s %5d %4d/%-4d %4d/%-4d %5d/%-6d %10.0f %6d %s\n"
-          r.bench r.level r.procs r.predicted_messages r.charged_messages
-          r.predicted_bytes r.charged_bytes r.wire_messages r.wire_bytes
-          r.executed_comm_ns r.unmodeled
-          (if r.agree then "ok" else "DISAGREES"))
-      rows
-  end;
-  let bad = List.filter (fun r -> not r.agree) rows in
-  if bad <> [] then begin
-    List.iter
-      (fun r ->
-        Printf.eprintf
-          "spmd disagreement: %s @ %s x%d (checksum %s/%s, messages %d/%d, \
-           bytes %d/%d, unmodeled %d)\n"
-          r.bench r.level r.procs r.seq_sum r.spmd_sum r.predicted_messages
-          r.charged_messages r.predicted_bytes r.charged_bytes r.unmodeled)
-      bad;
-    exit 1
-  end
+  Harness.emit "spmd" row_json rows;
+  Harness.write_baseline ~file:"BENCH_spmd_agreement.json"
+    ~schema:"fuzion/bench-spmd-agreement/1"
+    ~meta:[ ("machine", Obs.Json.String machine.Machine.name) ]
+    row_json rows;
+  Harness.table columns rows;
+  Harness.gate
+    (List.concat_map
+       (fun r ->
+         Harness.check r.agree
+           "spmd disagreement: %s @ %s x%d (checksum %s/%s, messages %d/%d, \
+            bytes %d/%d, unmodeled %d)"
+           r.bench r.level r.procs r.seq_sum r.spmd_sum r.predicted_messages
+           r.charged_messages r.predicted_bytes r.charged_bytes r.unmodeled)
+       rows)

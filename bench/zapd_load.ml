@@ -9,7 +9,7 @@
    plan computed), the second replays the identical batch warm (every
    plan served from the sharded LRU cache).
 
-   Three properties are load-bearing and fail the bench (exit 1):
+   Three properties are load-bearing and fail the bench:
 
    - determinism: the rendered responses are byte-identical cold vs
      warm and across every concurrency level — the cache and the pool
@@ -18,17 +18,14 @@
    - warm search avoids re-planning: the engine's plan-computed
      counter does not advance during any warm pass.
 
-   With --json the section writes BENCH_zapd_throughput.json — unlike
-   the model-driven BENCH files this one carries wall-clock, so only
-   the structural fields (hit rates, counter deltas, request counts)
-   are expected to diff clean across machines. *)
+   The baseline is BENCH_zapd_throughput.json — unlike the
+   model-driven BENCH files this one carries wall-clock, so only the
+   structural fields (hit rates, counter deltas, request counts) are
+   expected to diff clean across machines. *)
 
 module Api = Service.Api
 
 let concurrencies = [ 1; 8; 64 ]
-
-let tile_of (b : Suite.bench) =
-  if !Harness.tiny_mode then Some (if b.rank = 1 then 256 else 16) else None
 
 let benches () = if !Harness.tiny_mode then [ "ep"; "frac" ] else
     List.map (fun b -> b.Suite.name) Suite.all
@@ -39,7 +36,7 @@ let workload_once () =
   List.concat_map
     (fun name ->
       let b = Option.get (Suite.by_name name) in
-      let source = Api.Bench { name; tile = tile_of b } in
+      let source = Api.Bench { name; tile = Harness.tile_of b } in
       let greedy = Api.default_compile_opts in
       let search = { greedy with Api.plan = Api.Search } in
       [
@@ -84,6 +81,20 @@ let pass_json p =
       ("compiles_computed", Obs.Json.Int p.compiles_computed);
     ]
 
+let columns : pass Harness.column list =
+  [
+    ("conc", 5, fun p -> string_of_int p.concurrency);
+    ("phase", -5, fun p -> p.phase);
+    ("requests", 9, fun p -> string_of_int p.requests);
+    ("wall s", 8, fun p -> Printf.sprintf "%.2f" p.wall_s);
+    ("req/s", 10, fun p -> Printf.sprintf "%.1f" p.req_per_s);
+    ("latency ms", 12, fun p -> Printf.sprintf "%.3f" p.latency_ms);
+    ("hits", 6, fun p -> string_of_int p.hits);
+    ("miss", 6, fun p -> string_of_int p.misses);
+    ("hit-rate", 9, fun p -> Printf.sprintf "%8.1f%%" (100.0 *. p.hit_rate));
+    ("plans", 6, fun p -> string_of_int p.plans_computed);
+  ]
+
 (* Run one batch and return (rendered responses, pass row). *)
 let run_pass engine ~concurrency ~phase reqs =
   let s0 = Service.Engine.server_stats engine in
@@ -102,7 +113,6 @@ let run_pass engine ~concurrency ~phase reqs =
   let requests = List.length reqs in
   let hits = s1.Api.cache.Api.hits - s0.Api.cache.Api.hits in
   let misses = s1.Api.cache.Api.misses - s0.Api.cache.Api.misses in
-  let looked = hits + misses in
   ( rendered,
     {
       concurrency;
@@ -114,8 +124,7 @@ let run_pass engine ~concurrency ~phase reqs =
         (if requests > 0 then wall_s *. 1000.0 /. float_of_int requests else 0.0);
       hits;
       misses;
-      hit_rate =
-        (if looked > 0 then float_of_int hits /. float_of_int looked else 0.0);
+      hit_rate = Harness.hit_rate ~hits ~misses;
       plans_computed = s1.Api.plans_computed - s0.Api.plans_computed;
       compiles_computed = s1.Api.compiles_computed - s0.Api.compiles_computed;
     } )
@@ -125,74 +134,52 @@ let section () =
     "zapd throughput: suite replay through the service engine, cold vs \
      warm plan cache, concurrency 1/8/64";
   let reqs = workload () in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
   let results =
     List.map
       (fun concurrency ->
         let engine = Service.Engine.create ~jobs:concurrency () in
         let cold_out, cold = run_pass engine ~concurrency ~phase:"cold" reqs in
         let warm_out, warm = run_pass engine ~concurrency ~phase:"warm" reqs in
-        if cold_out <> warm_out then
-          fail "concurrency %d: warm responses differ from cold" concurrency;
-        if warm.hit_rate < 0.9 then
-          fail "concurrency %d: warm hit rate %.2f < 0.90" concurrency
-            warm.hit_rate;
-        if warm.plans_computed > 0 then
-          fail "concurrency %d: warm pass re-planned %d times" concurrency
-            warm.plans_computed;
-        (concurrency, cold_out, [ cold; warm ]))
+        (cold_out, warm_out, cold, warm))
       concurrencies
   in
+  let passes =
+    List.concat_map (fun (_, _, cold, warm) -> [ cold; warm ]) results
+  in
+  Harness.emit "zapd" pass_json passes;
+  Harness.write_baseline ~file:"BENCH_zapd_throughput.json"
+    ~schema:"fuzion/bench-zapd-throughput/1"
+    ~meta:
+      [
+        ( "note",
+          Obs.Json.String
+            "wall-clock measurement: wall_s/req_per_s/latency_ms vary by \
+             machine; counters and hit rates are deterministic" );
+      ]
+    pass_json passes;
+  Harness.table columns passes;
+  let per_level (cold_out, warm_out, _, warm) =
+    let c = warm.concurrency in
+    Harness.check (cold_out = warm_out)
+      "concurrency %d: warm responses differ from cold" c
+    @ Harness.check (warm.hit_rate >= 0.9)
+        "concurrency %d: warm hit rate %.2f < 0.90" c warm.hit_rate
+    @ Harness.check (warm.plans_computed = 0)
+        "concurrency %d: warm pass re-planned %d times" c warm.plans_computed
+  in
   (* responses must also agree across concurrency levels *)
-  (match results with
-  | (c0, out0, _) :: rest ->
-      List.iter
-        (fun (c, out, _) ->
-          if out <> out0 then
-            fail "responses at concurrency %d differ from concurrency %d" c c0)
-        rest
-  | [] -> ());
-  let passes = List.concat_map (fun (_, _, ps) -> ps) results in
-  if !Harness.json_mode then begin
-    List.iter
-      (fun p ->
-        Harness.json_row
-          [ ("section", Obs.Json.String "zapd"); ("row", pass_json p) ])
-      passes;
-    if not !Harness.tiny_mode then begin
-      let doc =
-        Obs.Json.Obj
-          [
-            ("schema", Obs.Json.String "fuzion/bench-zapd-throughput/1");
-            ( "note",
-              Obs.Json.String
-                "wall-clock measurement: wall_s/req_per_s/latency_ms vary \
-                 by machine; counters and hit rates are deterministic" );
-            ("rows", Obs.Json.List (List.map pass_json passes));
-          ]
-      in
-      let oc = open_out "BENCH_zapd_throughput.json" in
-      output_string oc (Format.asprintf "%a@." Obs.Json.pp doc);
-      close_out oc;
-      Printf.eprintf "wrote BENCH_zapd_throughput.json (%d rows)\n"
-        (List.length passes)
-    end
-  end
-  else begin
-    Harness.row "%5s %-5s %9s %8s %10s %12s %6s %6s %9s %6s\n" "conc" "phase"
-      "requests" "wall s" "req/s" "latency ms" "hits" "miss" "hit-rate"
-      "plans";
-    List.iter
-      (fun p ->
-        Harness.row "%5d %-5s %9d %8.2f %10.1f %12.3f %6d %6d %8.1f%% %6d\n"
-          p.concurrency p.phase p.requests p.wall_s p.req_per_s p.latency_ms
-          p.hits p.misses (100.0 *. p.hit_rate) p.plans_computed)
-      passes
-  end;
-  match !failures with
-  | [] -> ()
-  | msgs ->
-      List.iter (fun m -> Printf.eprintf "zapd bench FAILED: %s\n" m)
-        (List.rev msgs);
-      exit 1
+  let across =
+    match results with
+    | (out0, _, cold0, _) :: rest ->
+        List.concat_map
+          (fun (out, _, cold, _) ->
+            Harness.check (out = out0)
+              "responses at concurrency %d differ from concurrency %d"
+              cold.concurrency cold0.concurrency)
+          rest
+    | [] -> []
+  in
+  Harness.gate
+    (List.map
+       (( ^ ) "zapd bench FAILED: ")
+       (List.concat_map per_level results @ across))

@@ -1,15 +1,17 @@
-(* The bench harness's --json rows must agree with its text tables:
-   same configurations, same numbers (the text rounds to one decimal,
-   so the JSON is checked through the same rounding). *)
+(* The bench harness's --json stdout must be JSON lines only, its
+   rows must agree with its text tables (same configurations, same
+   numbers; the text rounds to one decimal, so the JSON is checked
+   through the same rounding) and must not depend on --jobs. *)
 
 let bench = "../bench/main.exe"
 
 let available = Sys.file_exists bench
 
+(* (exit code, stdout) of one bench run; stderr passes through *)
 let run args =
   let out = Filename.temp_file "bench" ".out" in
   let cmd =
-    Printf.sprintf "%s %s > %s 2>&1" (Filename.quote bench) args
+    Printf.sprintf "%s %s > %s" (Filename.quote bench) args
       (Filename.quote out)
   in
   let code = Sys.command cmd in
@@ -133,19 +135,9 @@ let test_fig9_rows_match_text () =
    over a pool must not change a byte of its stdout rows *)
 let check_jobs_invariant section args =
   if available then begin
-    let run_stdout extra =
-      let out = Filename.temp_file "bench" ".out" in
-      let cmd =
-        Printf.sprintf "%s %s %s > %s 2>/dev/null" (Filename.quote bench) args
-          extra (Filename.quote out)
-      in
-      let code = Sys.command cmd in
-      let ic = open_in out in
-      let n = in_channel_length ic in
-      let text = really_input_string ic n in
-      close_in ic;
-      Sys.remove out;
-      Alcotest.(check int) (section ^ " exit 0" ^ extra) 0 code;
+    let run_stdout jobs =
+      let code, text = run (args ^ " " ^ jobs) in
+      Alcotest.(check int) (section ^ " exit 0 " ^ jobs) 0 code;
       text
     in
     Alcotest.(check string)
@@ -153,11 +145,35 @@ let check_jobs_invariant section args =
       (run_stdout "--jobs 1") (run_stdout "--jobs 2")
   end
 
+(* every section's --json stdout is JSON lines only, including the
+   sections without a row form (one skipped row each) *)
+let test_json_stdout_is_json () =
+  if available then begin
+    let code, out =
+      run "fig6 sec55 ablate spmd plan zapd lazy --tiny --json --jobs 2"
+    in
+    Alcotest.(check int) "exit 0" 0 code;
+    let rows = parse_rows out in
+    let skipped =
+      List.filter_map
+        (fun row ->
+          match List.assoc_opt "skipped" row with
+          | Some (Obs.Json.Bool true) -> Some (str "section" row)
+          | _ -> None)
+        rows
+    in
+    Alcotest.(check (list string)) "text-only sections skip"
+      [ "sec55"; "ablate" ] skipped
+  end
+
 let test_fig7_jobs_invariant () = check_jobs_invariant "fig7" "fig7 --json"
 let test_fig8_jobs_invariant () = check_jobs_invariant "fig8" "fig8 --json"
 
 let test_plan_jobs_invariant () =
   check_jobs_invariant "plan" "plan --json --tiny"
+
+let test_spmd_jobs_invariant () =
+  check_jobs_invariant "spmd" "spmd --json --tiny"
 
 let suites =
   [
@@ -173,5 +189,9 @@ let suites =
           test_fig8_jobs_invariant;
         Alcotest.test_case "plan rows invariant under --jobs" `Slow
           test_plan_jobs_invariant;
+        Alcotest.test_case "spmd rows invariant under --jobs" `Slow
+          test_spmd_jobs_invariant;
+        Alcotest.test_case "--json stdout is JSON lines" `Slow
+          test_json_stdout_is_json;
       ] );
   ]
